@@ -10,13 +10,13 @@
 //! ```
 //!
 //! then measure with [`allocation_count`] deltas or
-//! [`min_allocations_over`]. Two caveats, learned from
-//! `crates/obs/tests/no_alloc.rs` (the first user of this pattern):
+//! [`min_allocations_over`]. Two caveats:
 //!
-//! * The counter is process-global, so ambient threads (the libtest
-//!   harness, a background worker) pollute any single measurement.
-//!   Take the **minimum over several attempts**: if the measured path
-//!   itself allocated, every attempt would count it.
+//! * The counter is **per thread**: a measurement sees exactly the
+//!   allocations of the thread that takes it, so sibling tests and the
+//!   libtest harness running on other threads cannot pollute it. The
+//!   flip side is that work the measured code hands to another thread
+//!   is not counted — measure paths that run on the calling thread.
 //! * Run release mode for enforcement. Debug builds of generic std
 //!   code can allocate where release builds provably do not, so a
 //!   zero-budget assert is only meaningful under `--release`
@@ -25,12 +25,23 @@
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; this module is the one place we implement it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so the slot never
+    // allocates or registers anything — safe to touch from inside the
+    // allocator itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// A counting global allocator: forwards to [`System`], incrementing a
-/// process-global counter on every `alloc` and `realloc` (frees are
+fn count_one() {
+    // `try_with` only fails while the thread is being torn down; an
+    // allocation then is not part of any measurement.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// A counting global allocator: forwards to [`System`], incrementing the
+/// calling thread's counter on every `alloc` and `realloc` (frees are
 /// not counted — the budgets here are about *acquiring* memory on a
 /// hot path, and a free implies a former alloc anyway).
 pub struct CountingAlloc;
@@ -50,7 +61,7 @@ impl Default for CountingAlloc {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -59,21 +70,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Heap acquisitions (allocs + reallocs) since process start. Only
-/// meaningful when [`CountingAlloc`] is installed as the global
-/// allocator; returns a frozen 0 otherwise.
+/// Heap acquisitions (allocs + reallocs) by the calling thread since it
+/// started. Only meaningful when [`CountingAlloc`] is installed as the
+/// global allocator; returns a frozen 0 otherwise.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Run `f` once and return `(allocations, result)` for the call.
-/// Subject to ambient-thread noise — prefer [`min_allocations_over`]
-/// for assertions.
+/// Run `f` once and return `(allocations, result)` for the call, as
+/// counted on the calling thread.
 pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = allocation_count();
     let out = f();
@@ -81,9 +91,10 @@ pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// Run `f` up to `attempts` times and return the **minimum** number of
-/// allocations observed in one run — the noise-robust statistic for
-/// "this path allocates N times": ambient threads can only inflate a
-/// sample, never deflate it. Returns early on a zero sample.
+/// allocations observed in one run — the steady-state statistic for
+/// "this path allocates N times": a first attempt that still grows a
+/// warm-up buffer can only inflate a sample, never deflate it. Returns
+/// early on a zero sample.
 pub fn min_allocations_over(attempts: usize, mut f: impl FnMut()) -> u64 {
     let mut min = u64::MAX;
     for _ in 0..attempts.max(1) {

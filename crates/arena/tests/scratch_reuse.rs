@@ -3,7 +3,7 @@
 //! [`ScratchVec`]/[`FlatRows`] is zero-allocation, and growth past the
 //! mark allocates exactly as `Vec` growth does (then the new mark
 //! holds). Lives in its own test binary because `#[global_allocator]`
-//! is process-global.
+//! is process-global (the count it keeps is per thread).
 
 use snorkel_arena::{alloc_check, CountingAlloc, FlatRows, ScratchVec};
 

@@ -6,6 +6,7 @@
 //! Run with `cargo bench --workspace`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use snorkel_core::label_model::LabelModel;
 
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_core::structure::{learn_structure, structure_sweep, StructureConfig};
@@ -32,7 +33,7 @@ fn bench_generative_training(c: &mut Criterion) {
             |b, lambda| {
                 b.iter(|| {
                     let mut gm = GenerativeModel::new(n, LabelScheme::Binary);
-                    gm.fit(lambda, &cfg)
+                    gm.fit(lambda, None, &cfg)
                 })
             },
         );
@@ -53,7 +54,7 @@ fn bench_generative_training(c: &mut Criterion) {
         b.iter(|| {
             let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary)
                 .with_correlations(&pairs);
-            gm.fit(&lambda, &cfg)
+            gm.fit(&lambda, None, &cfg)
         })
     });
     group.finish();

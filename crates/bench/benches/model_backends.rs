@@ -77,16 +77,16 @@ fn main() {
     });
     let generative_fit = median_secs(iters, || {
         let mut gm = GenerativeModel::new(n, scheme);
-        gm.fit_with(&lambda, &plan, &cfg)
+        gm.fit(&lambda, Some(&plan), &cfg)
     });
 
     // Marginal quality gap between the two trained backends.
     let mut mm = MomentModel::new(n, scheme);
     mm.fit(&lambda, Some(&plan), &cfg);
     let mut gm = GenerativeModel::new(n, scheme);
-    gm.fit_with(&lambda, &plan, &cfg);
+    gm.fit(&lambda, Some(&plan), &cfg);
     let approx = LabelModel::marginals(&mm, &lambda, Some(&plan));
-    let exact = gm.marginals_with(&lambda, &plan);
+    let exact = gm.marginals(&lambda, Some(&plan));
     let sup_gap = approx
         .iter()
         .zip(&exact)

@@ -1,6 +1,7 @@
 //! Million-candidate scale-out benchmark: pattern-deduplicated sharded
-//! inference/training vs the row-wise baseline on a DryBell-shaped
-//! synthetic corpus (huge row count, few distinct vote signatures).
+//! inference/training vs the identity plan (one pattern per row: the
+//! row-wise walk) through the same fitter, on a DryBell-shaped synthetic
+//! corpus (huge row count, few distinct vote signatures).
 //!
 //! Run with `cargo bench -p snorkel-bench --bench scaleout`. Sizes are
 //! env-tunable so CI can smoke-test the same binary at small scale:
@@ -11,15 +12,20 @@
 //! * `SNORKEL_SCALEOUT_SHARDS`   — shard count (default 0 = all cores)
 //!
 //! Custom harness (no criterion): each stage is timed over a few
-//! iterations and the median is reported, plus the row-wise / scale-out
+//! iterations and the median is reported, plus the identity / dedup
 //! speedup for `marginals`, `fit`, and the combined workload — the
 //! acceptance target is ≥4× combined at 1M×25.
 
+#[path = "../../core/tests/support/identity_plan.rs"]
+mod identity_plan;
+
 use std::time::{Duration, Instant};
 
-use snorkel_core::model::{GenerativeModel, LabelScheme, Scaleout, TrainConfig};
+use identity_plan::identity_plan;
+use snorkel_core::label_model::LabelModel;
+use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_datasets::synthetic::pattern_sparse_matrix;
-use snorkel_matrix::{LabelMatrix, ShardedMatrix};
+use snorkel_matrix::ShardedMatrix;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -52,8 +58,8 @@ fn main() {
     let lfs = env_usize("SNORKEL_SCALEOUT_LFS", 25);
     let patterns = env_usize("SNORKEL_SCALEOUT_PATTERNS", 2_000);
     let shards = env_usize("SNORKEL_SCALEOUT_SHARDS", 0);
-    // Fewer fit repetitions at full scale — the row-wise baseline runs
-    // for seconds per fit there.
+    // Fewer fit repetitions at full scale — the identity-plan baseline
+    // runs for seconds per fit there.
     let fit_iters = if rows > 200_000 { 1 } else { 3 };
 
     println!("building {rows}×{lfs} pattern-sparse corpus ({patterns} base signatures)…");
@@ -76,44 +82,44 @@ fn main() {
         fmt(t.elapsed()),
     );
 
-    let rw_cfg = TrainConfig {
-        scaleout: Scaleout::RowWise,
-        ..TrainConfig::default()
-    };
-    let sh_cfg = TrainConfig {
-        scaleout: Scaleout::Sharded { shards },
-        ..TrainConfig::default()
-    };
+    let identity = identity_plan(&lambda);
+    let cfg = TrainConfig::default();
 
     // ---------------- fit ----------------
-    let fit_rowwise = median_time(fit_iters, || {
+    let fit_identity = median_time(fit_iters, || {
         let mut gm = GenerativeModel::new(lfs, LabelScheme::Binary);
-        gm.fit(&lambda, &rw_cfg);
+        gm.fit(&lambda, Some(&identity), &cfg);
         gm
     });
     let fit_sharded = median_time(fit_iters, || {
         let mut gm = GenerativeModel::new(lfs, LabelScheme::Binary);
-        gm.fit_with(&lambda, &plan, &sh_cfg);
+        gm.fit(&lambda, Some(&plan), &cfg);
         gm
     });
-    println!("fit/rowwise          {}", fmt(fit_rowwise));
+    println!("fit/identity_plan    {}", fmt(fit_identity));
     println!("fit/dedup_sharded    {}", fmt(fit_sharded));
 
     // ---------------- marginals ----------------
     let mut gm = GenerativeModel::new(lfs, LabelScheme::Binary);
-    gm.fit_with(&lambda, &plan, &sh_cfg);
-    let marg_rowwise = median_time(3, || gm.marginals_rowwise(&lambda));
-    let marg_sharded = median_time(3, || gm.marginals_with(&lambda, &plan));
-    println!("marginals/rowwise    {}", fmt(marg_rowwise));
+    gm.fit(&lambda, Some(&plan), &cfg);
+    let marg_identity = median_time(3, || gm.marginals(&lambda, Some(&identity)));
+    let marg_sharded = median_time(3, || gm.marginals(&lambda, Some(&plan)));
+    println!("marginals/identity   {}", fmt(marg_identity));
     println!("marginals/dedup      {}", fmt(marg_sharded));
 
     // Output equivalence (the property the speedup is allowed to rely
     // on): inference bit-identical under fixed weights.
-    check_identical(&gm, &lambda, &plan);
+    let a = gm.marginals(&lambda, Some(&identity));
+    let b = gm.marginals(&lambda, Some(&plan));
+    assert_eq!(
+        a, b,
+        "dedup marginals must be bit-identical to the identity plan's"
+    );
+    println!("  (dedup marginals verified bit-identical to the identity plan's)");
 
-    let s_fit = fit_rowwise.as_secs_f64() / fit_sharded.as_secs_f64().max(1e-12);
-    let s_marg = marg_rowwise.as_secs_f64() / marg_sharded.as_secs_f64().max(1e-12);
-    let combined = (fit_rowwise + marg_rowwise).as_secs_f64()
+    let s_fit = fit_identity.as_secs_f64() / fit_sharded.as_secs_f64().max(1e-12);
+    let s_marg = marg_identity.as_secs_f64() / marg_sharded.as_secs_f64().max(1e-12);
+    let combined = (fit_identity + marg_identity).as_secs_f64()
         / (fit_sharded + marg_sharded).as_secs_f64().max(1e-12);
     println!("scaleout speedup: fit {s_fit:.1}×, marginals {s_marg:.1}×, combined {combined:.1}×");
 
@@ -124,9 +130,9 @@ fn main() {
             ("lfs", lfs as f64),
             ("unique_patterns", plan.num_patterns() as f64),
             ("dedup_ratio", plan.dedup_ratio()),
-            ("fit_rowwise_secs", fit_rowwise.as_secs_f64()),
+            ("fit_identity_secs", fit_identity.as_secs_f64()),
             ("fit_sharded_secs", fit_sharded.as_secs_f64()),
-            ("marginals_rowwise_secs", marg_rowwise.as_secs_f64()),
+            ("marginals_identity_secs", marg_identity.as_secs_f64()),
             ("marginals_sharded_secs", marg_sharded.as_secs_f64()),
             ("fit_speedup", s_fit),
             ("marginals_speedup", s_marg),
@@ -135,14 +141,7 @@ fn main() {
     );
     snorkel_bench::report::enforce_floor(
         "SNORKEL_SCALEOUT_MIN_SPEEDUP",
-        "dedup-vs-rowwise combined",
+        "dedup-vs-identity-plan combined",
         combined,
     );
-}
-
-fn check_identical(gm: &GenerativeModel, lambda: &LabelMatrix, plan: &ShardedMatrix) {
-    let a = gm.marginals_rowwise(lambda);
-    let b = gm.marginals_with(lambda, plan);
-    assert_eq!(a, b, "dedup marginals must be bit-identical to row-wise");
-    println!("  (dedup marginals verified bit-identical to row-wise)");
 }

@@ -14,6 +14,7 @@
 
 use snorkel_bench::experiments::Scale;
 use snorkel_bench::markdown_table;
+use snorkel_core::label_model::LabelModel;
 use snorkel_core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_core::vote::{modeling_advantage, vote_accuracy};
 use snorkel_datasets::synthetic::{correlated_matrix, Cluster};
@@ -42,7 +43,7 @@ fn main() {
             ..TrainConfig::default()
         };
         let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary);
-        gm.fit(&lambda, &cfg);
+        gm.fit(&lambda, None, &cfg);
         let aw = modeling_advantage(&lambda_test, gm.accuracy_weights(), &gold_test);
         let acc = vote_accuracy(&gm.predicted_labels(&lambda_test), &gold_test);
         rows.push(vec![
@@ -76,10 +77,10 @@ fn main() {
         ..TrainConfig::default()
     };
     let mut indep = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary);
-    indep.fit(&lambda, &cfg);
+    indep.fit(&lambda, None, &cfg);
     let mut corr =
         GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary).with_correlations(&pairs);
-    corr.fit(&lambda, &cfg);
+    corr.fit(&lambda, None, &cfg);
 
     let rows = vec![
         vec![

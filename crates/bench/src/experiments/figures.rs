@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use snorkel_core::label_model::LabelModel;
 
 use snorkel_core::bounds::{high_density_bound, low_density_bound};
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
@@ -41,7 +42,7 @@ pub fn fig4(scale: Scale) -> String {
         let (lambda, gold) = heterogeneous_matrix(m, &accs, propensity, scale.seed + n as u64);
 
         let mut gm = GenerativeModel::new(n, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let aw = modeling_advantage(&lambda, gm.accuracy_weights(), &gold);
 
         let w_star: Vec<f64> = accs.iter().map(|&a| 0.5 * (a / (1.0 - a)).ln()).collect();
@@ -104,7 +105,7 @@ fn fig5_panel(
     // Baseline: the independent model (ε = ∞, no correlations).
     {
         let mut gm = GenerativeModel::new(lambda_train.num_lfs(), LabelScheme::Binary);
-        gm.fit(lambda_train, &TrainConfig::default());
+        gm.fit(lambda_train, None, &TrainConfig::default());
         let f1 = f1_score(&gm.predicted_labels(lambda_eval), gold_eval);
         rows.push(vec![
             "∞ (independent)".into(),
@@ -116,7 +117,7 @@ fn fig5_panel(
     for (i, (eps, count, report)) in sweep.iter().enumerate() {
         let mut gm = GenerativeModel::new(lambda_train.num_lfs(), LabelScheme::Binary)
             .with_weighted_correlations(&report.pairs, &report.weights);
-        gm.fit(lambda_train, &TrainConfig::default());
+        gm.fit(lambda_train, None, &TrainConfig::default());
         let pred = gm.predicted_labels(lambda_eval);
         let f1 = f1_score(&pred, gold_eval);
         rows.push(vec![
@@ -244,7 +245,7 @@ pub fn fig6(scale: Scale) -> String {
                 .select_columns(&subset)
                 .expect("subset in range");
             let mut gm = GenerativeModel::new(k, LabelScheme::Binary);
-            gm.fit(&sub_train, &TrainConfig::default());
+            gm.fit(&sub_train, None, &TrainConfig::default());
             aw_sum += modeling_advantage(&sub_test, gm.accuracy_weights(), &gold_test);
             bound_sum += advantage_upper_bound(&sub_train, &cfg);
         }

@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use snorkel_core::label_model::LabelModel;
 
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_datasets::user_study::{participant_lfs, sample_participants, Education, SkillLevel};
@@ -54,7 +55,7 @@ fn run_participant(
         class_balance: snorkel_core::model::ClassBalance::Uniform,
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &cfg);
+    gm.fit(&lambda, None, &cfg);
     let soft = gm.prob_positive(&lambda);
     let mut disc = LogisticRegression::new(TEXT_BUCKETS);
     disc.fit(x_train, &soft, &logreg_config());

@@ -1,5 +1,6 @@
 //! Tables 1–7 of the paper.
 
+use snorkel_core::label_model::LabelModel;
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 
 use snorkel_core::optimizer::{advantage_upper_bound, choose_strategy, OptimizerConfig};
@@ -83,7 +84,7 @@ fn advantage_row(
         snorkel_core::optimizer::ModelingStrategy::GenerativeModel { .. } => "GM",
     };
     let mut gm = GenerativeModel::new(lambda_train.num_lfs(), LabelScheme::Binary);
-    gm.fit(lambda_train, &TrainConfig::default());
+    gm.fit(lambda_train, None, &TrainConfig::default());
     let aw = modeling_advantage(lambda_test, gm.accuracy_weights(), gold_test);
     vec![
         name.to_string(),
@@ -218,7 +219,7 @@ pub fn table4(scale: Scale) -> String {
         class_balance: snorkel_core::model::ClassBalance::Uniform,
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &rad_cfg);
+    gm.fit(&lambda, None, &rad_cfg);
     let soft = gm.prob_positive(&lambda);
     let mlp_cfg = MlpConfig {
         input_dim: rad.image_dim,
@@ -252,8 +253,8 @@ pub fn table4(scale: Scale) -> String {
         class_balance: snorkel_core::model::ClassBalance::Uniform,
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &crowd_cfg);
-    let targets = gm.marginals(&lambda);
+    gm.fit(&lambda, None, &crowd_cfg);
+    let targets = gm.marginals(&lambda, None);
     let featurizer = TextFeaturizer::with_buckets(TEXT_BUCKETS);
     let train_ids: Vec<_> = crowd_task
         .train
@@ -316,7 +317,7 @@ pub fn table5(scale: Scale) -> String {
         class_balance: snorkel_core::model::ClassBalance::Uniform,
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &rad_cfg);
+    gm.fit(&lambda, None, &rad_cfg);
     let soft = gm.prob_positive(&lambda);
     let unweighted = unweighted_soft_labels(&lambda);
     let mlp_cfg = MlpConfig {
@@ -352,8 +353,8 @@ pub fn table5(scale: Scale) -> String {
         class_balance: snorkel_core::model::ClassBalance::Uniform,
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &crowd_cfg);
-    let targets_gm = gm.marginals(&lambda);
+    gm.fit(&lambda, None, &crowd_cfg);
+    let targets_gm = gm.marginals(&lambda, None);
     let mut targets_unw = Vec::with_capacity(lambda.num_points());
     for i in 0..lambda.num_points() {
         let (_, votes) = lambda.row(i);
@@ -458,7 +459,7 @@ pub fn table6(scale: Scale) -> String {
             class_balance: snorkel_core::model::ClassBalance::Uniform,
             ..TrainConfig::default()
         };
-        gm.fit(&lambda, &cfg6);
+        gm.fit(&lambda, None, &cfg6);
         let soft = gm.prob_positive(&lambda);
         let mut disc = LogisticRegression::new(TEXT_BUCKETS);
         disc.fit(&x_train, &soft, &logreg_config());

@@ -2,6 +2,7 @@
 //! (skipping generative training on Chem) and the elbow point's
 //! training-time savings on the ε sweep.
 
+use snorkel_core::label_model::LabelModel;
 use std::time::Instant;
 
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
@@ -84,7 +85,7 @@ pub fn speedup(scale: Scale) -> String {
         let t = Instant::now();
         let mut gm =
             GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary).with_correlations(pairs);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         t.elapsed()
     };
     let elbow_time = time_fit(elbow_pairs);

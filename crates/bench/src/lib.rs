@@ -17,6 +17,7 @@
 pub mod experiments;
 pub mod report;
 
+use snorkel_core::label_model::LabelModel;
 use snorkel_core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_core::optimizer::OptimizerConfig;
 use snorkel_core::pipeline::{Pipeline, PipelineConfig};
@@ -153,7 +154,7 @@ pub fn fit_generative(lambda: &LabelMatrix, correlations: &[(usize, usize)]) -> 
         LabelScheme::from_cardinality(lambda.cardinality()),
     )
     .with_correlations(correlations);
-    gm.fit(lambda, &TrainConfig::default());
+    gm.fit(lambda, None, &TrainConfig::default());
     gm
 }
 

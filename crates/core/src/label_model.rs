@@ -28,9 +28,8 @@
 //!   (`E[agree_{jk}] = 1/K + (K−1)/K · u_j u_k` on balanced classes,
 //!   with `u = (K·acc − 1)/(K − 1)`), so each accuracy is recovered
 //!   from agreement-rate triplets `u_j² = e_ja e_jb / e_ab` without any
-//!   iteration. One statistics pass over Λ (or one pass over the
-//!   deduplicated [`snorkel_matrix::PatternIndex`] when a plan is
-//!   supplied) replaces the Newton loop — orders of magnitude cheaper
+//!   iteration. One statistics pass over the deduplicated
+//!   [`snorkel_matrix::PatternIndex`] of the plan replaces the Newton loop — orders of magnitude cheaper
 //!   at million-row scale, at the price of a small statistical gap from
 //!   the exact MLE that vanishes as `m` grows.
 //!
@@ -75,14 +74,16 @@
 //! ```
 
 use std::any::Any;
+use std::borrow::Cow;
 
 use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
 
 use crate::model::{
-    prior_pseudocounts, ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams,
-    ParamsError, TrainConfig, W_CLAMP,
+    build_plan, prior_pseudocounts, ClassBalance, FitReport, GenerativeModel, LabelScheme,
+    ModelParams, ParamsError, TrainConfig, W_CLAMP,
 };
 use crate::optimizer::ModelingStrategy;
+use crate::vote::plurality_class;
 
 /// Backend name of [`MajorityVoteModel`].
 pub const BACKEND_MAJORITY_VOTE: &str = "majority-vote";
@@ -95,13 +96,12 @@ pub const BACKEND_MOMENT: &str = "moment";
 /// per-row class posteriors, be refit warm after an edit, and round-trip
 /// its fitted state through a [`ModelSnapshot`].
 ///
-/// The `plan` argument of [`fit`](Self::fit) /
-/// [`fit_warm`](Self::fit_warm) / [`marginals`](Self::marginals) is the
-/// caller's resolved scale-out decision: `Some` hands the backend a
-/// prebuilt pattern-deduplicated [`ShardedMatrix`] covering exactly
-/// `lambda` (backends exploit it or ignore it); `None` means "walk rows"
-/// — backends must not build plans of their own, so the caller stays in
-/// charge of when the index is (re)built.
+/// Every pass over Λ reads the pattern-deduplicated [`ShardedMatrix`]
+/// plan. The `plan` argument of [`fit`](Self::fit) /
+/// [`fit_warm`](Self::fit_warm) / [`marginals`](Self::marginals) hands
+/// the backend a prebuilt plan covering exactly `lambda`, so callers
+/// that make several passes build it once; `None` makes the call build
+/// one with [`crate::model::build_plan`] for its own use.
 ///
 /// See the [module docs](self) for the shipped backends and a usage
 /// example.
@@ -153,46 +153,36 @@ pub trait LabelModel: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether this backend profits from a pattern-deduplicated plan at
-    /// all. One-shot callers (the batch pipeline) skip the plan build
-    /// entirely when it returns `false` — the majority-vote backend's
-    /// whole labeling pass is one `O(nnz)` walk, so an index build would
-    /// cost more than it saves. Callers that maintain a plan anyway
-    /// (the incremental session keeps it alive across refreshes) may
-    /// still pass one; backends must accept it either way.
+    /// Whether this backend reads the pattern plan. Every shipped
+    /// backend does, so this is always `true`.
     fn benefits_from_plan(&self) -> bool {
         true
     }
 
-    /// Posterior class distribution for one row of votes.
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64>;
-
-    /// Write the posterior for one row of votes into a caller-owned
-    /// slice of exactly `scheme().num_classes()` elements — the
-    /// allocation-free form of [`posterior`](Self::posterior) used by
-    /// the serving read path, which owns one flat probability arena per
-    /// worker instead of a `Vec` per request.
-    ///
-    /// The contract is bitwise: for any input, the values written here
-    /// are bit-identical to what `posterior` returns. Backends on this
-    /// crate override it with a zero-allocation body performing the
-    /// same float-op sequence; the default goes through `posterior`
-    /// (correct, but allocating — fine for backends off the hot path).
+    /// Write the posterior class distribution for one row of votes into
+    /// a caller-owned slice of exactly `scheme().num_classes()`
+    /// elements, allocating nothing — the kernel under the serving read
+    /// path, which owns one flat probability arena per worker.
     ///
     /// Panics if `out.len() != scheme().num_classes()`.
-    fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
-        let p = self.posterior(cols, votes);
-        assert_eq!(
-            out.len(),
-            p.len(),
-            "posterior_into needs a slice of num_classes elements"
-        );
-        out.copy_from_slice(&p);
+    fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]);
+
+    /// Posterior class distribution for one row of votes: a wrapper over
+    /// [`posterior_into`](Self::posterior_into), so the two agree bit
+    /// for bit by construction.
+    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
+        let mut out = vec![0.0; self.scheme().num_classes()];
+        self.posterior_into(cols, votes, &mut out);
+        out
     }
 
     /// Posterior class distributions for every row of `lambda`
-    /// (`labels[row][class]`), through the plan when one is supplied.
-    fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>>;
+    /// (`labels[row][class]`): one posterior per unique pattern of the
+    /// plan, scattered back to its rows.
+    fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
+        let plan = plan.map_or_else(|| Cow::Owned(build_plan(lambda)), Cow::Borrowed);
+        marginals_via(lambda, &plan, |cols, votes| self.posterior(cols, votes))
+    }
 
     /// Hard predictions: the MAP class as a vote value; 0 when the
     /// posterior is tied over its top classes (no evidence).
@@ -254,43 +244,35 @@ fn map_vote(scheme: LabelScheme, post: &[f64]) -> Vote {
     }
 }
 
-/// Compute per-row posteriors, once per unique pattern when a plan is
-/// supplied (scattering each pattern's posterior back to its rows in
-/// shard order), row by row otherwise. The posterior of a row is a pure
-/// function of its vote signature for every backend, so both paths are
-/// bit-identical.
-fn marginals_via<F>(
-    lambda: &LabelMatrix,
-    plan: Option<&ShardedMatrix>,
-    posterior: F,
-) -> Vec<Vec<f64>>
+/// Compute per-row posteriors once per unique pattern of `plan`,
+/// scattering each pattern's posterior back to its rows in shard order.
+/// The posterior of a row is a pure function of its vote signature for
+/// every backend, so the result is bit-identical for any shard count.
+fn marginals_via<F>(lambda: &LabelMatrix, plan: &ShardedMatrix, posterior: F) -> Vec<Vec<f64>>
 where
     F: Fn(&[u32], &[Vote]) -> Vec<f64> + Sync,
 {
-    match plan {
-        None => (0..lambda.num_points())
-            .map(|i| {
-                let (cols, votes) = lambda.row(i);
-                posterior(cols, votes)
-            })
-            .collect(),
-        Some(plan) => {
-            let per_shard: Vec<Vec<Vec<f64>>> = plan.map_shards(|idx| {
-                let mut posts = vec![Vec::new(); idx.num_slots()];
-                for (p, cols, votes, _) in idx.live_patterns() {
-                    posts[p] = posterior(cols, votes);
-                }
-                posts
-            });
-            let mut out = vec![Vec::new(); lambda.num_points()];
-            for (idx, posts) in plan.shards().iter().zip(&per_shard) {
-                for row in idx.row_range() {
-                    out[row] = posts[idx.pattern_of_row(row)].clone();
-                }
-            }
-            out
+    assert_eq!(
+        plan.num_rows(),
+        lambda.num_points(),
+        "sharded plan covers {} rows but Λ has {}",
+        plan.num_rows(),
+        lambda.num_points()
+    );
+    let per_shard: Vec<Vec<Vec<f64>>> = plan.map_shards(|idx| {
+        let mut posts = vec![Vec::new(); idx.num_slots()];
+        for (p, cols, votes, _) in idx.live_patterns() {
+            posts[p] = posterior(cols, votes);
+        }
+        posts
+    });
+    let mut out = vec![Vec::new(); lambda.num_points()];
+    for (idx, posts) in plan.shards().iter().zip(&per_shard) {
+        for row in idx.row_range() {
+            out[row] = posts[idx.pattern_of_row(row)].clone();
         }
     }
+    out
 }
 
 // ----------------------------------------------------------------------
@@ -317,12 +299,6 @@ impl MajorityVoteModel {
 impl LabelModel for MajorityVoteModel {
     fn backend_name(&self) -> &'static str {
         BACKEND_MAJORITY_VOTE
-    }
-
-    fn benefits_from_plan(&self) -> bool {
-        // Labeling is a single O(nnz) pass; building an index to dedup
-        // it costs more than the pass itself.
-        false
     }
 
     fn scheme(&self) -> LabelScheme {
@@ -366,51 +342,18 @@ impl LabelModel for MajorityVoteModel {
         self.fit(lambda, plan, cfg)
     }
 
-    fn posterior(&self, _cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        let k = self.scheme.num_classes();
-        let mut tally = vec![0usize; k];
-        for &v in votes {
-            if let Some(c) = self.scheme.class_of_vote(v) {
-                tally[c] += 1;
-            }
-        }
-        let best = tally.iter().copied().max().unwrap_or(0);
-        let winner_count = tally.iter().filter(|&&t| t == best).count();
-        let mut p = vec![0.0; k];
-        if best == 0 || winner_count > 1 {
-            p.iter_mut().for_each(|x| *x = 1.0 / k as f64);
-        } else {
-            let winner = tally.iter().position(|&t| t == best).expect("best exists");
-            p[winner] = 1.0;
-        }
-        p
-    }
-
     fn posterior_into(&self, _cols: &[u32], votes: &[Vote], out: &mut [f64]) {
         let k = self.scheme.num_classes();
         assert_eq!(out.len(), k, "posterior_into needs {k} elements");
-        // Tally into the output slice itself (counts are exact in f64),
-        // so no scratch vector is needed. The written probabilities are
-        // the same literals `posterior` produces: 0.0 / 1.0 / 1.0 ÷ k.
-        out.fill(0.0);
-        for &v in votes {
-            if let Some(c) = self.scheme.class_of_vote(v) {
-                out[c] += 1.0;
+        // Stack scratch for the tally: cardinality is a u8, so K ≤ 255.
+        let mut tally = [0usize; 256];
+        match plurality_class(self.scheme, votes, &mut tally[..k]) {
+            Some(winner) => {
+                out.fill(0.0);
+                out[winner] = 1.0;
             }
+            None => out.fill(1.0 / k as f64),
         }
-        let best = out.iter().copied().fold(0.0f64, f64::max);
-        let winner_count = out.iter().filter(|&&t| t == best).count();
-        if best == 0.0 || winner_count > 1 {
-            out.fill(1.0 / k as f64);
-        } else {
-            let winner = out.iter().position(|&t| t == best).expect("best exists");
-            out.fill(0.0);
-            out[winner] = 1.0;
-        }
-    }
-
-    fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
-        marginals_via(lambda, plan, |cols, votes| self.posterior(cols, votes))
     }
 
     fn remapped(&self, col_map: &[Option<usize>]) -> Box<dyn LabelModel> {
@@ -456,13 +399,8 @@ impl LabelModel for GenerativeModel {
         plan: Option<&ShardedMatrix>,
         cfg: &TrainConfig,
     ) -> FitReport {
-        match plan {
-            Some(p) => self.fit_with(lambda, p, cfg),
-            // No plan from the caller: honor cfg.scaleout as before (the
-            // concrete fit resolves it; callers that pinned RowWise get
-            // the row-wise pass).
-            None => GenerativeModel::fit(self, lambda, cfg),
-        }
+        let plan = plan.map_or_else(|| Cow::Owned(build_plan(lambda)), Cow::Borrowed);
+        self.fit_cold(lambda, &plan, cfg)
     }
 
     fn fit_warm(
@@ -478,33 +416,16 @@ impl LabelModel for GenerativeModel {
                 if GenerativeModel::num_lfs(p) == GenerativeModel::num_lfs(self)
                     && GenerativeModel::scheme(p) == GenerativeModel::scheme(self) =>
             {
-                match plan {
-                    Some(pl) => self.fit_warm_with(lambda, pl, cfg, p, changed_cols),
-                    None => GenerativeModel::fit_warm(self, lambda, cfg, p, changed_cols),
-                }
+                let plan = plan.map_or_else(|| Cow::Owned(build_plan(lambda)), Cow::Borrowed);
+                self.fit_warm_from(lambda, &plan, cfg, p, changed_cols)
             }
             // Different backend or incompatible shape: cold fit.
             _ => LabelModel::fit(self, lambda, plan, cfg),
         }
     }
 
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        GenerativeModel::posterior(self, cols, votes)
-    }
-
     fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
         GenerativeModel::posterior_into(self, cols, votes, out)
-    }
-
-    fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
-        match plan {
-            Some(p) => self.marginals_with(lambda, p),
-            None => self.marginals_rowwise(lambda),
-        }
-    }
-
-    fn predicted_labels(&self, lambda: &LabelMatrix) -> Vec<Vote> {
-        GenerativeModel::predicted_labels(self, lambda)
     }
 
     fn remapped(&self, col_map: &[Option<usize>]) -> Box<dyn LabelModel> {
@@ -577,44 +498,23 @@ impl MomentModel {
         self.inner.accuracy_weights()
     }
 
-    /// One statistics pass + closed-form solve. See the module docs for
-    /// the estimator; this is the whole training loop.
-    fn fit_closed_form(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-    ) {
+    /// One statistics pass over the plan's patterns + closed-form
+    /// solve. See the module docs for the estimator; this is the whole
+    /// training loop.
+    fn fit_closed_form(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig) {
         let scheme = GenerativeModel::scheme(&self.inner);
         let n = GenerativeModel::num_lfs(&self.inner);
-        let m = lambda.num_points();
-
-        // ---- The single pass: per-LF and pairwise sufficient stats.
-        let stats = match plan {
-            Some(plan) => {
-                let partials = plan.map_shards(|idx| {
-                    let mut s = MomentStats::new(n, scheme);
-                    for (_, cols, votes, cnt) in idx.live_patterns() {
-                        s.accumulate(cols, votes, cnt as f64);
-                    }
-                    s
-                });
-                let mut total = MomentStats::new(n, scheme);
-                for p in &partials {
-                    total.merge(p);
-                }
-                total
+        let partials = plan.map_shards(|idx| {
+            let mut s = MomentStats::new(n, scheme);
+            for (_, cols, votes, cnt) in idx.live_patterns() {
+                s.accumulate(cols, votes, cnt as f64);
             }
-            None => {
-                let mut s = MomentStats::new(n, scheme);
-                for i in 0..m {
-                    let (cols, votes) = lambda.row(i);
-                    s.accumulate(cols, votes, 1.0);
-                }
-                s
-            }
-        };
-
+            s
+        });
+        let mut stats = MomentStats::new(n, scheme);
+        for p in &partials {
+            stats.merge(p);
+        }
         self.solve_from_stats(&stats, cfg);
     }
 
@@ -897,34 +797,15 @@ impl MomentStats {
         self.rows += w;
         let mut tally = std::mem::take(&mut self.tally);
         let mut classes = std::mem::take(&mut self.classes);
-        tally.iter_mut().for_each(|t| *t = 0);
         classes.clear();
         for (&c, &v) in cols.iter().zip(votes) {
             let j = c as usize;
             self.votes[j] += w;
             if let Some(class) = scheme.class_of_vote(v) {
-                tally[class] += 1;
                 classes.push((j, class));
             }
         }
-        // Plurality class of the row (None on ties / all-abstain).
-        let best = tally.iter().copied().max().unwrap_or(0);
-        let mv = if best == 0 {
-            None
-        } else {
-            let mut winner = None;
-            for (c, &t) in tally.iter().enumerate() {
-                if t == best {
-                    if winner.is_some() {
-                        winner = None;
-                        break;
-                    }
-                    winner = Some(c);
-                }
-            }
-            winner
-        };
-        if let Some(mv) = mv {
+        if let Some(mv) = plurality_class(scheme, votes, &mut tally) {
             self.mv_class[mv] += w;
             for &(j, class) in &classes {
                 self.total_mv[j] += w;
@@ -1081,7 +962,8 @@ impl LabelModel for MomentModel {
                 warm_started: false,
             };
         }
-        self.fit_closed_form(lambda, plan, cfg);
+        let plan = plan.map_or_else(|| Cow::Owned(build_plan(lambda)), Cow::Borrowed);
+        self.fit_closed_form(&plan, cfg);
         FitReport {
             epochs: 1,
             final_nll: f64::NAN,
@@ -1107,16 +989,8 @@ impl LabelModel for MomentModel {
         Some(self.fit_from_stats(stats, cfg))
     }
 
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        self.inner.posterior(cols, votes)
-    }
-
     fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
         self.inner.posterior_into(cols, votes, out)
-    }
-
-    fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
-        LabelModel::marginals(&self.inner, lambda, plan)
     }
 
     fn remapped(&self, col_map: &[Option<usize>]) -> Box<dyn LabelModel> {
@@ -1349,6 +1223,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identity_plan::identity_plan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use snorkel_matrix::LabelMatrixBuilder;
@@ -1443,7 +1318,7 @@ mod tests {
         let plan = ShardedMatrix::build(&lambda, 4);
         let cfg = TrainConfig::default();
         let mut rowwise = MomentModel::new(4, LabelScheme::Binary);
-        rowwise.fit(&lambda, None, &cfg);
+        rowwise.fit(&lambda, Some(&identity_plan(&lambda)), &cfg);
         let mut sharded = MomentModel::new(4, LabelScheme::Binary);
         sharded.fit(&lambda, Some(&plan), &cfg);
         // Integer-weighted statistics merged in shard order: the counts
@@ -1663,7 +1538,7 @@ mod tests {
         let report = LabelModel::fit_warm(&mut warm, &lambda, None, &cfg, &mv, &[]);
         assert!(!report.warm_started);
         let mut cold = GenerativeModel::new(3, LabelScheme::Binary);
-        cold.fit(&lambda, &cfg);
+        cold.fit(&lambda, None, &cfg);
         assert_eq!(cold.accuracy_weights(), warm.accuracy_weights());
 
         // Same backend: genuinely warm.

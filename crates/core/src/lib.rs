@@ -50,12 +50,16 @@ pub mod pipeline;
 pub mod structure;
 pub mod vote;
 
+#[cfg(test)]
+#[path = "../tests/support/identity_plan.rs"]
+mod identity_plan;
+
 pub use label_model::{
     LabelModel, MajorityVoteModel, ModelRegistry, ModelSnapshot, MomentModel, UnknownBackend,
 };
 pub use model::{
-    ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams, ParamsError, Scaleout,
-    TrainConfig, SCALEOUT_MIN_ROWS,
+    build_plan, plan_shards, ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams,
+    ParamsError, TrainConfig, SCALEOUT_MIN_ROWS,
 };
 pub use optimizer::{
     choose_strategy, select_model, ModelingStrategy, OptimizerConfig, StrategyDecision,
@@ -64,4 +68,4 @@ pub use pipeline::{
     run_pipeline, DiscTrainer, DiscTrainerConfig, Pipeline, PipelineConfig, PipelineReport,
 };
 pub use structure::{learn_structure, StructureConfig, StructureReport};
-pub use vote::{majority_vote, modeling_advantage, weighted_vote};
+pub use vote::{majority_vote, modeling_advantage, plurality_class, weighted_vote};

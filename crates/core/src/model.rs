@@ -25,7 +25,7 @@
 //!   analytic. Deterministic, sampling-free, and convergent in tens of
 //!   iterations where first-order ascent needed thousands; iteration
 //!   stops at an optimizer-independent fixed point, which is what makes
-//!   warm restarts ([`GenerativeModel::fit_warm`]) agree with cold fits
+//!   warm restarts ([`LabelModel::fit_warm`]) agree with cold fits
 //!   to ≤1e-9.
 //! * **Correlated model** (`C ≠ ∅`): SGD whose model phase is estimated
 //!   by Gibbs chains seeded at observed rows — the
@@ -44,6 +44,9 @@ use rand::{Rng, SeedableRng};
 
 use snorkel_linalg::math::{logsumexp, softmax_in_place};
 use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
+
+use crate::label_model::LabelModel;
+use crate::vote::plurality_class;
 
 /// Vote-scheme abstraction shared by the binary (`{−1,+1}`) and
 /// multi-class (`{1..=k}`) settings.
@@ -114,44 +117,37 @@ impl LabelScheme {
     }
 }
 
-/// Execution strategy for exact inference and the exact-training
-/// sufficient-statistics passes.
+/// Row count at which the pattern plan goes from one shard to one shard
+/// per core (see [`plan_shards`]).
+pub const SCALEOUT_MIN_ROWS: usize = 8192;
+
+/// The shard-count rule of the pattern plan that every exact pass,
+/// marginals pass and distillation range reads: one shard below
+/// [`SCALEOUT_MIN_ROWS`] rows, where a single index is cheapest, and one
+/// shard per available core at or above it.
 ///
 /// The posterior of a data point depends only on its vote signature
-/// `(cols, votes)`, so at deployment scale (millions of rows, a handful
-/// of distinct patterns — the Snorkel DryBell regime) the row-wise walk
-/// recomputes the same posterior millions of times. The sharded path
-/// groups rows by unique pattern ([`snorkel_matrix::PatternIndex`]) per
-/// row-range shard and runs every pass per-pattern, weighted by
-/// multiplicity.
-///
-/// Equivalence contract (pinned by the `proptest_scaleout` harness):
-/// marginals are **bit-identical** to the row-wise path for any shard
-/// count (a pattern's posterior is computed by literally the same
-/// float-op sequence as its rows'), and fits converge to the same
-/// optimum within the [`TrainConfig::tol`] fixed-point guarantee (the
-/// per-pattern statistics differ from the row-wise sums only in
-/// floating-point summation order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scaleout {
-    /// Always walk rows one by one — the reference path.
-    RowWise,
-    /// Deduplicate per row-range shard; `shards == 0` means one shard
-    /// per available core. Merge order is fixed by shard index, so the
-    /// result is deterministic regardless of worker-thread count.
-    Sharded {
-        /// Number of row-range shards (0 = one per core).
-        shards: usize,
-    },
-    /// Shard (one shard per core) when the matrix has at least
-    /// [`SCALEOUT_MIN_ROWS`] rows; row-wise below that, where the
-    /// index build cost is not worth amortizing.
-    Auto,
+/// `(cols, votes)`, so the plan groups rows by unique pattern
+/// ([`snorkel_matrix::PatternIndex`]) per row-range shard and every pass
+/// runs once per pattern, weighted by multiplicity. Marginals are
+/// bit-identical for any shard count (a pattern's posterior is the same
+/// float-op sequence as its rows'); fits differ across shard counts only
+/// in floating-point summation order, inside the [`TrainConfig::tol`]
+/// fixed-point guarantee. Both contracts are pinned by the
+/// `proptest_scaleout` harness against an identity plan (one pattern
+/// per row).
+pub fn plan_shards(rows: usize) -> usize {
+    if rows < SCALEOUT_MIN_ROWS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |c| c.get())
+    }
 }
 
-/// Row count at which [`Scaleout::Auto`] switches from row-wise to the
-/// pattern-deduplicated sharded path.
-pub const SCALEOUT_MIN_ROWS: usize = 8192;
+/// Build the pattern plan for `lambda` with [`plan_shards`] shards.
+pub fn build_plan(lambda: &LabelMatrix) -> ShardedMatrix {
+    ShardedMatrix::build(lambda, plan_shards(lambda.num_points()))
+}
 
 /// Training hyperparameters.
 ///
@@ -193,7 +189,7 @@ pub struct TrainConfig {
     /// drops below this. The fixed point is a stationary point of the
     /// likelihood and does not depend on where iteration started, so any
     /// two runs that both converge — e.g. a cold fit and a
-    /// [`GenerativeModel::fit_warm`] restart after one LF edit — land on
+    /// [`LabelModel::fit_warm`] restart after one LF edit — land on
     /// the *same* parameters up to this tolerance. `0.0` disables early
     /// stopping. This is the §3 early-stopping lever (the paper reports
     /// up to 61% of training time saved by stopping when converged).
@@ -217,10 +213,6 @@ pub struct TrainConfig {
     pub class_balance: ClassBalance,
     /// Clamp accuracy weights at ≥ 0 (assume non-adversarial LFs).
     pub clamp_nonadversarial: bool,
-    /// Execution strategy for the exact passes (see [`Scaleout`]). The
-    /// correlated CD path ignores it: Gibbs chains are per-row samples
-    /// and do not deduplicate.
-    pub scaleout: Scaleout,
 }
 
 impl Default for TrainConfig {
@@ -240,7 +232,6 @@ impl Default for TrainConfig {
             init_from_majority_vote: true,
             class_balance: ClassBalance::FromMajorityVote,
             clamp_nonadversarial: false,
-            scaleout: Scaleout::Auto,
         }
     }
 }
@@ -270,7 +261,7 @@ pub struct FitReport {
     /// Whether Gibbs-based contrastive divergence was used.
     pub used_gibbs: bool,
     /// Whether this fit warm-started from a previous model's parameters
-    /// ([`GenerativeModel::fit_warm`]).
+    /// ([`LabelModel::fit_warm`]).
     pub warm_started: bool,
 }
 
@@ -618,7 +609,8 @@ impl GenerativeModel {
     // Inference
     // ------------------------------------------------------------------
 
-    /// Posterior `p(y = class | Λ_i)` for one row of votes.
+    /// Posterior `p(y = class | Λ_i)` for one row of votes: a wrapper
+    /// over [`Self::posterior_into`].
     ///
     /// Correlation and propensity factors cancel (they do not involve
     /// `y`), so the posterior depends only on the accuracy weights and
@@ -626,25 +618,16 @@ impl GenerativeModel {
     /// differently when correlations are modeled, which is where the
     /// correction of Example 3.1 comes from.
     pub fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        let k = self.scheme.num_classes();
-        let mut scores = self.b_class.clone();
-        debug_assert_eq!(scores.len(), k);
-        for (&c, &v) in cols.iter().zip(votes) {
-            if let Some(class) = self.scheme.class_of_vote(v) {
-                scores[class] += self.w_acc[c as usize];
-            }
-        }
-        softmax_in_place(&mut scores);
-        scores
+        let mut out = vec![0.0; self.b_class.len()];
+        self.posterior_into(cols, votes, &mut out);
+        out
     }
 
     /// [`Self::posterior`] into a caller-owned slice of
-    /// `scheme().num_classes()` elements, allocating nothing.
-    ///
-    /// Performs the identical float-op sequence — copy the class-balance
-    /// weights, accumulate accuracy weights, softmax in place — so the
-    /// written values are bit-identical to `posterior`'s. This is the
-    /// kernel under the serving layer's flat posterior arena.
+    /// `scheme().num_classes()` elements, allocating nothing: copy the
+    /// class-balance weights, accumulate accuracy weights, softmax in
+    /// place. This is the kernel under the serving layer's flat
+    /// posterior arena.
     ///
     /// Panics if `out.len() != scheme().num_classes()`.
     pub fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
@@ -662,65 +645,14 @@ impl GenerativeModel {
         softmax_in_place(out);
     }
 
-    /// Posterior class distributions for every row.
-    ///
-    /// Large matrices (≥ [`SCALEOUT_MIN_ROWS`] rows) are automatically
-    /// routed through the pattern-deduplicated path — the output is
-    /// bit-identical to [`Self::marginals_rowwise`] either way, because
-    /// a pattern's posterior is computed by the exact float-op sequence
-    /// its rows' posteriors would have used. Callers that already hold a
-    /// [`ShardedMatrix`] plan should use [`Self::marginals_with`] to
-    /// skip the per-call index build; callers that want the row-wise
-    /// walk unconditionally (mostly-unique rows, where dedup loses to
-    /// its own bookkeeping) call [`Self::marginals_rowwise`] directly.
-    pub fn marginals(&self, lambda: &LabelMatrix) -> Vec<Vec<f64>> {
-        if lambda.num_points() >= SCALEOUT_MIN_ROWS {
-            let plan = ShardedMatrix::build(lambda, 0);
-            self.marginals_with(lambda, &plan)
-        } else {
-            self.marginals_rowwise(lambda)
-        }
-    }
-
-    /// Posterior class distributions for every row, one posterior
-    /// computation per row — the reference path the scale-out paths are
-    /// property-tested against (and the benchmark baseline).
-    pub fn marginals_rowwise(&self, lambda: &LabelMatrix) -> Vec<Vec<f64>> {
-        (0..lambda.num_points())
-            .map(|i| {
-                let (cols, votes) = lambda.row(i);
-                self.posterior(cols, votes)
-            })
-            .collect()
-    }
-
-    /// Posterior class distributions for every row, computed once per
-    /// unique vote pattern of the prebuilt plan and scattered back to
-    /// rows. Bit-identical to [`Self::marginals_rowwise`] for any shard
-    /// count.
-    pub fn marginals_with(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) -> Vec<Vec<f64>> {
-        self.assert_plan_matches(lambda, plan);
-        let per_shard: Vec<Vec<Vec<f64>>> = plan.map_shards(|idx| {
-            let mut posts = vec![Vec::new(); idx.num_slots()];
-            for (p, cols, votes, _) in idx.live_patterns() {
-                posts[p] = self.posterior(cols, votes);
-            }
-            posts
-        });
-        let mut out = vec![Vec::new(); lambda.num_points()];
-        for (idx, posts) in plan.shards().iter().zip(&per_shard) {
-            for row in idx.row_range() {
-                out[row] = posts[idx.pattern_of_row(row)].clone();
-            }
-        }
-        out
-    }
-
-    /// Binary convenience: `p(y = +1 | Λ_i)` per row (auto scale-out,
-    /// like [`Self::marginals`]).
+    /// Binary convenience: `p(y = +1 | Λ_i)` per row, through a freshly
+    /// built plan (see [`LabelModel::marginals`]).
     pub fn prob_positive(&self, lambda: &LabelMatrix) -> Vec<f64> {
         assert_eq!(self.scheme, LabelScheme::Binary, "binary scheme only");
-        self.marginals(lambda).into_iter().map(|p| p[0]).collect()
+        LabelModel::marginals(self, lambda, None)
+            .into_iter()
+            .map(|p| p[0])
+            .collect()
     }
 
     fn assert_plan_matches(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) {
@@ -740,66 +672,24 @@ impl GenerativeModel {
         );
     }
 
-    /// Hard predictions: the MAP class as a vote value; 0 when the
-    /// posterior is exactly uniform over its top classes (no evidence).
-    pub fn predicted_labels(&self, lambda: &LabelMatrix) -> Vec<Vote> {
-        self.marginals(lambda)
-            .into_iter()
-            .map(|post| {
-                let best = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let winners: Vec<usize> = (0..post.len())
-                    .filter(|&c| (post[c] - best).abs() < 1e-12)
-                    .collect();
-                if winners.len() == 1 {
-                    self.scheme.vote_of_class(winners[0])
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Training
     // ------------------------------------------------------------------
 
-    /// The sharded execution plan [`Self::fit`] would build for this
-    /// config, or `None` when the row-wise path applies. Callers that
-    /// run several passes over the same matrix (pipeline, incremental
-    /// session) build the plan once and hand it to [`Self::fit_with`] /
-    /// [`Self::marginals_with`].
-    pub fn plan_for(lambda: &LabelMatrix, cfg: &TrainConfig) -> Option<ShardedMatrix> {
-        match cfg.scaleout {
-            Scaleout::RowWise => None,
-            Scaleout::Sharded { shards } => Some(ShardedMatrix::build(lambda, shards)),
-            Scaleout::Auto => {
-                (lambda.num_points() >= SCALEOUT_MIN_ROWS).then(|| ShardedMatrix::build(lambda, 0))
-            }
-        }
+    /// The pattern plan [`LabelModel::fit`] builds when handed none:
+    /// always [`build_plan`]. Callers that run several passes over the
+    /// same matrix (pipeline, incremental session) build it once and
+    /// pass it to every fit and marginals call. `cfg` no longer affects
+    /// the plan; the signature is kept for existing callers.
+    pub fn plan_for(lambda: &LabelMatrix, _cfg: &TrainConfig) -> Option<ShardedMatrix> {
+        Some(build_plan(lambda))
     }
 
-    /// Fit to a label matrix by maximizing the (smoothed) marginal
-    /// likelihood, resolving [`TrainConfig::scaleout`] internally.
-    pub fn fit(&mut self, lambda: &LabelMatrix, cfg: &TrainConfig) -> FitReport {
-        let plan = Self::plan_for(lambda, cfg);
-        self.fit_exec(lambda, plan.as_ref(), cfg)
-    }
-
-    /// [`Self::fit`] against a prebuilt sharded plan (must cover exactly
-    /// this matrix), skipping the per-call plan build.
-    pub fn fit_with(
+    /// Cold fit against `plan` (the [`LabelModel::fit`] body).
+    pub(crate) fn fit_cold(
         &mut self,
         lambda: &LabelMatrix,
         plan: &ShardedMatrix,
-        cfg: &TrainConfig,
-    ) -> FitReport {
-        self.fit_exec(lambda, Some(plan), cfg)
-    }
-
-    fn fit_exec(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
         cfg: &TrainConfig,
     ) -> FitReport {
         assert_eq!(
@@ -809,17 +699,15 @@ impl GenerativeModel {
             lambda.num_lfs(),
             self.n
         );
-        if let Some(p) = plan {
-            self.assert_plan_matches(lambda, p);
-        }
+        self.assert_plan_matches(lambda, plan);
         for w in self.w_acc.iter_mut() {
             *w = cfg.init_acc_weight;
         }
-        self.set_class_balance(lambda, plan, cfg);
+        self.set_class_balance(plan, cfg);
         if cfg.init_from_majority_vote && lambda.num_points() > 0 {
-            self.init_acc_from_majority_vote(lambda, plan, cfg);
+            self.init_acc_from_majority_vote(plan, cfg);
         }
-        self.init_lab_from_coverage(lambda, plan);
+        self.init_lab_from_coverage(plan);
         if lambda.num_points() == 0 {
             return FitReport {
                 epochs: 0,
@@ -829,19 +717,14 @@ impl GenerativeModel {
             };
         }
         if self.corr_pairs.is_empty() {
-            self.fit_independent_exact(lambda, plan, cfg)
+            self.fit_independent_exact(plan, cfg)
         } else {
             self.fit_correlated_cd(lambda, cfg)
         }
     }
 
     /// Fix the class-balance weights per the configured policy.
-    fn set_class_balance(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-    ) {
+    fn set_class_balance(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig) {
         let k = self.scheme.num_classes();
         match &cfg.class_balance {
             ClassBalance::Uniform => self.b_class.iter_mut().for_each(|b| *b = 0.0),
@@ -852,32 +735,22 @@ impl GenerativeModel {
                 }
             }
             ClassBalance::FromMajorityVote => {
+                // The MV class is a pure function of the vote signature,
+                // and these are integer counts: the per-pattern tally is
+                // exactly the per-row one.
                 let mut counts = vec![1usize; k]; // add-one smoothing
-                match plan {
-                    // The MV class is a pure function of the vote
-                    // signature, and these are integer counts — the
-                    // per-pattern tally is *exactly* the row-wise one.
-                    Some(plan) => {
-                        let per_shard = plan.map_shards(|idx| {
-                            let mut c = vec![0usize; k];
-                            let mut tally = vec![0usize; k];
-                            for (_, _, votes, cnt) in idx.live_patterns() {
-                                if let Some(mv) = self.plurality_class(votes, &mut tally) {
-                                    c[mv] += cnt;
-                                }
-                            }
-                            c
-                        });
-                        for c in per_shard {
-                            for (tot, add) in counts.iter_mut().zip(c) {
-                                *tot += add;
-                            }
+                for c in plan.map_shards(|idx| {
+                    let mut c = vec![0usize; k];
+                    let mut tally = vec![0usize; k];
+                    for (_, _, votes, cnt) in idx.live_patterns() {
+                        if let Some(mv) = plurality_class(self.scheme, votes, &mut tally) {
+                            c[mv] += cnt;
                         }
                     }
-                    None => {
-                        for c in self.majority_classes(lambda).into_iter().flatten() {
-                            counts[c] += 1;
-                        }
+                    c
+                }) {
+                    for (tot, add) in counts.iter_mut().zip(c) {
+                        *tot += add;
                     }
                 }
                 let total: f64 = counts.iter().map(|&c| c as f64).sum();
@@ -886,43 +759,6 @@ impl GenerativeModel {
                 }
             }
         }
-    }
-
-    /// Plurality class of one vote set (`None` on ties and no votes);
-    /// `tally` is a reusable `num_classes`-sized scratch buffer.
-    fn plurality_class(&self, votes: &[Vote], tally: &mut [usize]) -> Option<usize> {
-        tally.iter_mut().for_each(|t| *t = 0);
-        for &v in votes {
-            if let Some(c) = self.scheme.class_of_vote(v) {
-                tally[c] += 1;
-            }
-        }
-        let best = tally.iter().copied().max().unwrap_or(0);
-        if best == 0 {
-            return None;
-        }
-        let mut winner = None;
-        for (c, &t) in tally.iter().enumerate() {
-            if t == best {
-                if winner.is_some() {
-                    return None; // tie
-                }
-                winner = Some(c);
-            }
-        }
-        winner
-    }
-
-    /// Plurality class per row (`None` on ties and empty rows).
-    fn majority_classes(&self, lambda: &LabelMatrix) -> Vec<Option<usize>> {
-        let k = self.scheme.num_classes();
-        let mut out = Vec::with_capacity(lambda.num_points());
-        let mut tally = vec![0usize; k];
-        for i in 0..lambda.num_points() {
-            let (_, votes) = lambda.row(i);
-            out.push(self.plurality_class(votes, &mut tally));
-        }
-        out
     }
 
     /// Initialize the propensity weights so the model's implied coverage
@@ -934,34 +770,25 @@ impl GenerativeModel {
     /// collapsed optimum. Solving
     /// `coverage = e^lab (e^acc + K−1) / (1 + e^lab (e^acc + K−1))`
     /// for `lab` removes the transient entirely.
-    fn init_lab_from_coverage(&mut self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) {
-        let m = lambda.num_points();
+    fn init_lab_from_coverage(&mut self, plan: &ShardedMatrix) {
+        let m = plan.num_rows();
         if m == 0 {
             return;
         }
         let k1 = (self.scheme.num_classes() - 1) as f64;
         let mut votes = vec![0usize; self.n];
-        match plan {
-            Some(plan) => {
-                // Per-pattern coverage counts are integer-exact.
-                for c in plan.map_shards(|idx| {
-                    let mut c = vec![0usize; self.n];
-                    for (_, cols, _, cnt) in idx.live_patterns() {
-                        for &j in cols {
-                            c[j as usize] += cnt;
-                        }
-                    }
-                    c
-                }) {
-                    for (tot, add) in votes.iter_mut().zip(c) {
-                        *tot += add;
-                    }
+        // Per-pattern coverage counts are integer-exact.
+        for c in plan.map_shards(|idx| {
+            let mut c = vec![0usize; self.n];
+            for (_, cols, _, cnt) in idx.live_patterns() {
+                for &j in cols {
+                    c[j as usize] += cnt;
                 }
             }
-            None => {
-                for (_, j, _) in lambda.iter() {
-                    votes[j] += 1;
-                }
+            c
+        }) {
+            for (tot, add) in votes.iter_mut().zip(c) {
+                *tot += add;
             }
         }
         for j in 0..self.n {
@@ -976,58 +803,34 @@ impl GenerativeModel {
     /// agreement rate with MV on rows where both commit, shrunk toward
     /// the prior and clamped to a moderate band so the data still
     /// dominates.
-    fn init_acc_from_majority_vote(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-    ) {
+    fn init_acc_from_majority_vote(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig) {
         let mut agree = vec![0usize; self.n];
         let mut total = vec![0usize; self.n];
-        match plan {
-            Some(plan) => {
-                // Agreement with the row's own majority vote is a pure
-                // function of the signature; integer counts are exact.
-                let k = self.scheme.num_classes();
-                for (a, t) in plan.map_shards(|idx| {
-                    let mut a = vec![0usize; self.n];
-                    let mut t = vec![0usize; self.n];
-                    let mut tally = vec![0usize; k];
-                    for (_, cols, votes, cnt) in idx.live_patterns() {
-                        let Some(mv_class) = self.plurality_class(votes, &mut tally) else {
-                            continue;
-                        };
-                        for (&c, &v) in cols.iter().zip(votes) {
-                            if let Some(class) = self.scheme.class_of_vote(v) {
-                                t[c as usize] += cnt;
-                                if class == mv_class {
-                                    a[c as usize] += cnt;
-                                }
-                            }
+        // Agreement with the row's own majority vote is a pure function
+        // of the signature; integer counts are exact.
+        let k = self.scheme.num_classes();
+        for (a, t) in plan.map_shards(|idx| {
+            let mut a = vec![0usize; self.n];
+            let mut t = vec![0usize; self.n];
+            let mut tally = vec![0usize; k];
+            for (_, cols, votes, cnt) in idx.live_patterns() {
+                let Some(mv_class) = plurality_class(self.scheme, votes, &mut tally) else {
+                    continue;
+                };
+                for (&c, &v) in cols.iter().zip(votes) {
+                    if let Some(class) = self.scheme.class_of_vote(v) {
+                        t[c as usize] += cnt;
+                        if class == mv_class {
+                            a[c as usize] += cnt;
                         }
-                    }
-                    (a, t)
-                }) {
-                    for j in 0..self.n {
-                        agree[j] += a[j];
-                        total[j] += t[j];
                     }
                 }
             }
-            None => {
-                let mv = self.majority_classes(lambda);
-                for i in 0..lambda.num_points() {
-                    let Some(mv_class) = mv[i] else { continue };
-                    let (cols, votes) = lambda.row(i);
-                    for (&c, &v) in cols.iter().zip(votes) {
-                        if let Some(class) = self.scheme.class_of_vote(v) {
-                            total[c as usize] += 1;
-                            if class == mv_class {
-                                agree[c as usize] += 1;
-                            }
-                        }
-                    }
-                }
+            (a, t)
+        }) {
+            for j in 0..self.n {
+                agree[j] += a[j];
+                total[j] += t[j];
             }
         }
         for j in 0..self.n {
@@ -1047,13 +850,8 @@ impl GenerativeModel {
     }
 
     /// Full-batch exact-gradient training for the independent model.
-    fn fit_independent_exact(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-    ) -> FitReport {
-        let (epochs, nll) = self.run_exact_epochs(lambda, plan, cfg);
+    fn fit_independent_exact(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig) -> FitReport {
+        let (epochs, nll) = self.run_exact_epochs(plan, cfg);
         FitReport {
             epochs,
             final_nll: nll,
@@ -1093,18 +891,13 @@ impl GenerativeModel {
     /// `cfg.epochs` cap).
     ///
     /// Returns `(iterations run, final NLL)`.
-    fn run_exact_epochs(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-    ) -> (usize, f64) {
+    fn run_exact_epochs(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig) -> (usize, f64) {
         const EM_WARMUP_MAX: usize = 15;
         // Warm-up only needs to reach the right basin — the damped Newton
         // phase is robust from a rough start (it falls back to EM sweeps
         // when a step is rejected), so entering it early is pure win.
         const EM_BASIN_TOL: f64 = 3e-2;
-        let m = lambda.num_points() as f64;
+        let m = plan.num_rows() as f64;
         let n = self.n;
         if n == 0 {
             return (0, 0.0);
@@ -1117,11 +910,11 @@ impl GenerativeModel {
 
         // ---------------- Phase 1: plain EM sweeps ----------------
         let mut stats = ExactPassStats::new(n);
-        // Per-shard accumulator pool, allocated on the first sharded
-        // pass and reused by every later iteration of both phases.
+        // Per-shard accumulator pool, allocated on the first pass and
+        // reused by every later iteration of both phases.
         let mut pool: Vec<ShardPass> = Vec::new();
         loop {
-            self.exact_pass(lambda, plan, &mut stats, false, &mut pool);
+            self.exact_pass(plan, &mut stats, false, &mut pool);
             iters += 1;
             let mut f_inf = 0.0f64;
             for j in 0..n {
@@ -1155,7 +948,7 @@ impl GenerativeModel {
         let mut grad = vec![0.0f64; dim];
         let mut hess = vec![vec![0.0f64; dim]; dim];
         while iters < cfg.epochs {
-            self.exact_pass(lambda, plan, &mut stats, true, &mut pool);
+            self.exact_pass(plan, &mut stats, true, &mut pool);
             iters += 1;
             let obj_cur = self.penalized_objective(&stats, m, (a_agree, a_dis, a_abs));
 
@@ -1259,7 +1052,7 @@ impl GenerativeModel {
                     }
                     self.w_acc[j] = acc.clamp(-W_CLAMP, W_CLAMP);
                 }
-                self.exact_pass(lambda, plan, &mut stats, false, &mut pool);
+                self.exact_pass(plan, &mut stats, false, &mut pool);
                 iters += 1;
                 let obj_new = self.penalized_objective(&stats, m, (a_agree, a_dis, a_abs));
                 // Acceptance slack at the objective's arithmetic noise
@@ -1280,7 +1073,7 @@ impl GenerativeModel {
                 // Heavily damped Newton keeps failing (numerically odd
                 // region): fall back to one plain EM sweep, which always
                 // makes progress, and reset the damping.
-                self.exact_pass(lambda, plan, &mut stats, false, &mut pool);
+                self.exact_pass(plan, &mut stats, false, &mut pool);
                 iters += 1;
                 for j in 0..n {
                     let a_j = stats.agree[j];
@@ -1300,91 +1093,21 @@ impl GenerativeModel {
         }
 
         // Final bookkeeping pass for the reported NLL.
-        self.exact_pass(lambda, plan, &mut stats, false, &mut pool);
+        self.exact_pass(plan, &mut stats, false, &mut pool);
         let nll = stats.nll(m, &self.b_class, &self.w_lab, &self.w_acc, k1);
         (iters, nll)
     }
 
     /// One exact E-pass over Λ: posteriors accumulated into the expected
     /// per-LF statistics (and, when `with_moments`, the posterior
-    /// second-moment matrix the Newton phase needs). With a plan, the
-    /// pass runs once per unique pattern weighted by multiplicity, per
-    /// shard, and merges the per-shard partials in shard order — the
-    /// scale-out core of the whole crate.
-    fn exact_pass(
-        &self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        stats: &mut ExactPassStats,
-        with_moments: bool,
-        pool: &mut Vec<ShardPass>,
-    ) {
-        match plan {
-            Some(plan) => self.exact_pass_sharded(plan, stats, with_moments, pool),
-            None => self.exact_pass_rowwise(lambda, stats, with_moments),
-        }
-    }
-
-    /// Row-wise reference implementation of the exact E-pass.
-    fn exact_pass_rowwise(
-        &self,
-        lambda: &LabelMatrix,
-        stats: &mut ExactPassStats,
-        with_moments: bool,
-    ) {
-        let k = self.scheme.num_classes();
-        stats.reset(with_moments);
-        let mut scores = vec![0.0f64; k];
-        let mut row_classes: Vec<(usize, usize, f64)> = Vec::new(); // (lf, class, q)
-        for i in 0..lambda.num_points() {
-            let (cols, votes) = lambda.row(i);
-            scores.copy_from_slice(&self.b_class);
-            let mut lab_term = 0.0;
-            for (&c, &v) in cols.iter().zip(votes) {
-                let j = c as usize;
-                lab_term += self.w_lab[j];
-                if let Some(class) = self.scheme.class_of_vote(v) {
-                    scores[class] += self.w_acc[j];
-                }
-            }
-            let lse = logsumexp(&scores);
-            stats.loglik += lab_term + lse;
-            row_classes.clear();
-            for (&c, &v) in cols.iter().zip(votes) {
-                let j = c as usize;
-                stats.votes_cast[j] += 1.0;
-                if let Some(class) = self.scheme.class_of_vote(v) {
-                    let q = (scores[class] - lse).exp();
-                    stats.agree[j] += q;
-                    if with_moments {
-                        row_classes.push((j, class, q));
-                    }
-                }
-            }
-            if with_moments {
-                // cov_i(φ_j, φ_k) over the row's voting LFs, where
-                // φ_j = 1{y = class(Λ_ij)}.
-                for (x, &(j, cj, qj)) in row_classes.iter().enumerate() {
-                    stats.acc_moment[j][j] += qj * (1.0 - qj);
-                    for &(l, cl, ql) in row_classes.iter().skip(x + 1) {
-                        let joint = if cj == cl { qj } else { 0.0 };
-                        let cov = joint - qj * ql;
-                        stats.acc_moment[j][l] += cov;
-                        stats.acc_moment[l][j] += cov;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pattern-deduplicated, sharded exact E-pass: each shard walks its
+    /// second-moment matrix the Newton phase needs). Each shard walks its
     /// *unique* vote patterns once, scaling every statistic by the
     /// pattern's multiplicity, and the per-shard partials merge in shard
     /// index order (deterministic for a fixed shard count regardless of
     /// how many worker threads ran). On a DryBell-shaped corpus this
     /// turns the O(m) posterior computations of one pass into
     /// O(#patterns).
-    fn exact_pass_sharded(
+    fn exact_pass(
         &self,
         plan: &ShardedMatrix,
         stats: &mut ExactPassStats,
@@ -1469,7 +1192,7 @@ impl GenerativeModel {
     /// [`Self::with_weighted_correlations`] afterwards). This is the
     /// warm-start bridge for *structural* suite edits: after adding or
     /// removing an LF, map every surviving column to its previous weights
-    /// and [`Self::fit_warm`] from the remapped model.
+    /// and [`LabelModel::fit_warm`] from the remapped model.
     pub fn remapped_from(prev: &GenerativeModel, col_map: &[Option<usize>]) -> GenerativeModel {
         let mut gm = GenerativeModel::new(col_map.len(), prev.scheme);
         for (j, slot) in col_map.iter().enumerate() {
@@ -1487,12 +1210,13 @@ impl GenerativeModel {
         gm
     }
 
-    /// Warm-restart fit: start from a previously fitted model's
-    /// parameters, re-initialize only the columns in `changed_cols`, and
-    /// run the optimizer until convergence.
+    /// Warm-restart fit against `plan` (the [`LabelModel::fit_warm`]
+    /// body for a compatible `prev`): start from a previously fitted
+    /// model's parameters, re-initialize only the columns in
+    /// `changed_cols`, and run the optimizer until convergence.
     ///
     /// For the exact independent path this converges to the same fixed
-    /// point a cold [`Self::fit`] finds (the update's stationary point is
+    /// point a cold fit finds (the update's stationary point is
     /// step-size-independent), so with a convergence tolerance set
     /// ([`TrainConfig::tol`]) warm and cold marginals agree to ≤1e-9 —
     /// while the warm restart, starting next to the optimum, typically
@@ -1506,20 +1230,7 @@ impl GenerativeModel {
     /// `prev` must have the same LF count and scheme; `changed_cols`
     /// lists the columns whose LF was edited (an empty slice means only
     /// the data changed, e.g. a new candidate batch was ingested).
-    pub fn fit_warm(
-        &mut self,
-        lambda: &LabelMatrix,
-        cfg: &TrainConfig,
-        prev: &GenerativeModel,
-        changed_cols: &[usize],
-    ) -> FitReport {
-        let plan = Self::plan_for(lambda, cfg);
-        self.fit_warm_exec(lambda, plan.as_ref(), cfg, prev, changed_cols)
-    }
-
-    /// [`Self::fit_warm`] against a prebuilt sharded plan (must cover
-    /// exactly this matrix) — the incremental session's training path.
-    pub fn fit_warm_with(
+    pub(crate) fn fit_warm_from(
         &mut self,
         lambda: &LabelMatrix,
         plan: &ShardedMatrix,
@@ -1527,20 +1238,7 @@ impl GenerativeModel {
         prev: &GenerativeModel,
         changed_cols: &[usize],
     ) -> FitReport {
-        self.fit_warm_exec(lambda, Some(plan), cfg, prev, changed_cols)
-    }
-
-    fn fit_warm_exec(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
-        cfg: &TrainConfig,
-        prev: &GenerativeModel,
-        changed_cols: &[usize],
-    ) -> FitReport {
-        if let Some(p) = plan {
-            self.assert_plan_matches(lambda, p);
-        }
+        self.assert_plan_matches(lambda, plan);
         assert_eq!(
             lambda.num_lfs(),
             self.n,
@@ -1569,10 +1267,10 @@ impl GenerativeModel {
         }
         // The class balance is a deterministic function of Λ and the
         // policy — recompute so it matches what a cold fit would use.
-        self.set_class_balance(lambda, plan, cfg);
+        self.set_class_balance(plan, cfg);
         // Edited columns start from the cold-path initialization.
         for &j in changed_cols {
-            self.reinit_column(lambda, cfg, j);
+            self.reinit_column(plan, cfg, j);
         }
         if lambda.num_points() == 0 {
             return FitReport {
@@ -1583,7 +1281,7 @@ impl GenerativeModel {
             };
         }
         if self.corr_pairs.is_empty() {
-            let (epochs, nll) = self.run_exact_epochs(lambda, plan, cfg);
+            let (epochs, nll) = self.run_exact_epochs(plan, cfg);
             FitReport {
                 epochs,
                 final_nll: nll,
@@ -1605,8 +1303,8 @@ impl GenerativeModel {
     /// believed, so the subsequent global EM polish starts next to the
     /// new joint optimum instead of perturbing every posterior with a
     /// generic prior init.
-    fn reinit_column(&mut self, lambda: &LabelMatrix, cfg: &TrainConfig, j: usize) {
-        let m = lambda.num_points();
+    fn reinit_column(&mut self, plan: &ShardedMatrix, cfg: &TrainConfig, j: usize) {
+        let m = plan.num_rows();
         if m == 0 {
             self.w_acc[j] = cfg.init_acc_weight;
             return;
@@ -1616,26 +1314,33 @@ impl GenerativeModel {
         let jc = j as u32;
         let mut agree = 0.0f64;
         let mut votes_cast = 0.0f64;
-        let mut scores = vec![0.0f64; k];
-        for i in 0..m {
-            let (cols, votes) = lambda.row(i);
-            let Ok(pos) = cols.binary_search(&jc) else {
-                continue;
-            };
-            // Posterior with column j masked out.
-            scores.copy_from_slice(&self.b_class);
-            for (&c, &v) in cols.iter().zip(votes) {
-                if c != jc {
-                    if let Some(class) = self.scheme.class_of_vote(v) {
-                        scores[class] += self.w_acc[c as usize];
+        for (a, v) in plan.map_shards(|idx| {
+            let (mut agree, mut votes_cast) = (0.0f64, 0.0f64);
+            let mut scores = vec![0.0f64; k];
+            for (_, cols, votes, cnt) in idx.live_patterns() {
+                let Ok(pos) = cols.binary_search(&jc) else {
+                    continue;
+                };
+                // Posterior with column j masked out.
+                scores.copy_from_slice(&self.b_class);
+                for (&c, &v) in cols.iter().zip(votes) {
+                    if c != jc {
+                        if let Some(class) = self.scheme.class_of_vote(v) {
+                            scores[class] += self.w_acc[c as usize];
+                        }
                     }
                 }
+                softmax_in_place(&mut scores);
+                let c = cnt as f64;
+                votes_cast += c;
+                if let Some(class) = self.scheme.class_of_vote(votes[pos]) {
+                    agree += c * scores[class];
+                }
             }
-            softmax_in_place(&mut scores);
-            votes_cast += 1.0;
-            if let Some(class) = self.scheme.class_of_vote(votes[pos]) {
-                agree += scores[class];
-            }
+            (agree, votes_cast)
+        }) {
+            agree += a;
+            votes_cast += v;
         }
         let (a_agree, a_dis, a_abs) = prior_pseudocounts(cfg.init_acc_weight, k1);
         let d_j = (votes_cast - agree).max(0.0);
@@ -1992,6 +1697,7 @@ fn sample_categorical(rng: &mut StdRng, probs: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identity_plan::identity_plan;
     use snorkel_matrix::LabelMatrixBuilder;
 
     /// Plant a binary dataset: LF `j` votes with propensity `pl` and
@@ -2032,7 +1738,7 @@ mod tests {
         let accs = [0.9, 0.8, 0.7, 0.6, 0.55];
         let (lambda, _) = planted(4000, &accs, 0.6, 7);
         let mut gm = GenerativeModel::new(5, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let implied = gm.implied_accuracies();
         for (j, &a) in accs.iter().enumerate() {
             assert!(
@@ -2054,7 +1760,7 @@ mod tests {
     fn recovers_propensity() {
         let (lambda, _) = planted(4000, &[0.8, 0.8], 0.3, 3);
         let mut gm = GenerativeModel::new(2, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         // P(vote) under the model = (e^{lab+acc} + e^{lab}) / z.
         for j in 0..2 {
             let e_lab = gm.propensity_weights()[j].exp();
@@ -2076,7 +1782,7 @@ mod tests {
         // cannot be recovered.
         let (lambda, _) = planted(3000, &[0.9, 0.6, 0.75], 0.8, 11);
         let mut gm = GenerativeModel::new(3, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let post = gm.posterior(&[0, 1], &[1, -1]); // sources 0 and 1 disagree
         assert!(
             post[0] > 0.6,
@@ -2090,11 +1796,12 @@ mod tests {
         let (lambda, _) = planted(500, &[0.9, 0.7, 0.6], 0.5, 21);
         let mut gm = GenerativeModel::new(3, LabelScheme::Binary)
             .with_weighted_correlations(&[(0, 2)], &[0.8]);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let back = GenerativeModel::from_params(gm.to_params()).unwrap();
+        let plan = identity_plan(&lambda);
         assert_eq!(
-            back.marginals_rowwise(&lambda),
-            gm.marginals_rowwise(&lambda)
+            back.marginals(&lambda, Some(&plan)),
+            gm.marginals(&lambda, Some(&plan))
         );
         assert_eq!(back.correlations(), gm.correlations());
         assert_eq!(back.correlation_weights(), gm.correlation_weights());
@@ -2141,7 +1848,7 @@ mod tests {
     fn marginals_and_hard_labels() {
         let (lambda, gold) = planted(1500, &[0.85, 0.85, 0.85], 0.9, 5);
         let mut gm = GenerativeModel::new(3, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let probs = gm.prob_positive(&lambda);
         assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
         let preds = gm.predicted_labels(&lambda);
@@ -2154,8 +1861,8 @@ mod tests {
         let (lambda, _) = planted(500, &[0.8, 0.7], 0.5, 2);
         let mut a = GenerativeModel::new(2, LabelScheme::Binary);
         let mut b = GenerativeModel::new(2, LabelScheme::Binary);
-        a.fit(&lambda, &TrainConfig::default());
-        b.fit(&lambda, &TrainConfig::default());
+        a.fit(&lambda, None, &TrainConfig::default());
+        b.fit(&lambda, None, &TrainConfig::default());
         assert_eq!(a.accuracy_weights(), b.accuracy_weights());
     }
 
@@ -2188,13 +1895,13 @@ mod tests {
         let lambda = b.build();
 
         let mut indep = GenerativeModel::new(n, LabelScheme::Binary);
-        indep.fit(&lambda, &TrainConfig::default());
+        indep.fit(&lambda, None, &TrainConfig::default());
 
         let pairs: Vec<(usize, usize)> = (0..5)
             .flat_map(|a| ((a + 1)..5).map(move |b| (a, b)))
             .collect();
         let mut corr = GenerativeModel::new(n, LabelScheme::Binary).with_correlations(&pairs);
-        corr.fit(&lambda, &TrainConfig::default());
+        corr.fit(&lambda, None, &TrainConfig::default());
 
         // Under the correlated model, a conflict of (block says +1,
         // good LFs say −1) must resolve toward the good LFs.
@@ -2248,7 +1955,7 @@ mod tests {
         }
         let lambda = b.build();
         let mut gm = GenerativeModel::new(3, scheme);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let implied = gm.implied_accuracies();
         assert!(implied[0] > implied[1] && implied[1] > implied[2]);
         assert!((implied[0] - 0.85).abs() < 0.1, "implied {:.3}", implied[0]);
@@ -2268,11 +1975,11 @@ mod tests {
             clamp_nonadversarial: true,
             ..TrainConfig::default()
         };
-        gm.fit(&lambda, &cfg);
+        gm.fit(&lambda, None, &cfg);
         assert!(gm.accuracy_weights()[2] >= 0.0);
 
         let mut free = GenerativeModel::new(3, LabelScheme::Binary);
-        free.fit(&lambda, &TrainConfig::default());
+        free.fit(&lambda, None, &TrainConfig::default());
         assert!(
             free.accuracy_weights()[2] < 0.0,
             "unclamped fit must detect the adversarial LF, got {:?}",
@@ -2304,9 +2011,9 @@ mod tests {
         };
         let tol = TrainConfig::default(); // tol = 1e-14
         let mut a = GenerativeModel::new(3, LabelScheme::Binary);
-        let ra = a.fit(&lambda, &full);
+        let ra = a.fit(&lambda, None, &full);
         let mut b = GenerativeModel::new(3, LabelScheme::Binary);
-        let rb = b.fit(&lambda, &tol);
+        let rb = b.fit(&lambda, None, &tol);
         assert!(rb.epochs <= ra.epochs);
         for (wa, wb) in a.accuracy_weights().iter().zip(b.accuracy_weights()) {
             assert!(
@@ -2328,20 +2035,20 @@ mod tests {
         let (lambda, _) = planted(2000, &SUITE, 0.4, 8);
         let cfg = TrainConfig::default();
         let mut base = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        base.fit(&lambda, &cfg);
+        base.fit(&lambda, None, &cfg);
 
         let edited = edit_column(&lambda, 4, 0.85, 0.5, 99);
 
         let mut cold = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        let cold_report = cold.fit(&edited, &cfg);
+        let cold_report = cold.fit(&edited, None, &cfg);
 
         let mut warm = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        let warm_report = warm.fit_warm(&edited, &cfg, &base, &[4]);
+        let warm_report = warm.fit_warm(&edited, None, &cfg, &base, &[4]);
         assert!(warm_report.warm_started);
 
         // Same optimum: marginals within 1e-9 of the cold path.
-        let cold_marg = cold.marginals(&edited);
-        let warm_marg = warm.marginals(&edited);
+        let cold_marg = cold.marginals(&edited, None);
+        let warm_marg = warm.marginals(&edited, None);
         let mut max_diff = 0.0f64;
         for (c, w) in cold_marg.iter().zip(&warm_marg) {
             for (pc, pw) in c.iter().zip(w) {
@@ -2364,7 +2071,7 @@ mod tests {
         let (lambda, _) = planted(1200, &SUITE, 0.4, 21);
         let cfg = TrainConfig::default();
         let mut base = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        base.fit(&lambda, &cfg);
+        base.fit(&lambda, None, &cfg);
 
         // Ingest 300 more rows.
         let (extra, _) = planted(300, &SUITE, 0.4, 22);
@@ -2378,9 +2085,9 @@ mod tests {
         grown.append_rows(&rows);
 
         let mut cold = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        cold.fit(&grown, &cfg);
+        cold.fit(&grown, None, &cfg);
         let mut warm = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        warm.fit_warm(&grown, &cfg, &base, &[]);
+        warm.fit_warm(&grown, None, &cfg, &base, &[]);
         for (c, w) in cold.accuracy_weights().iter().zip(warm.accuracy_weights()) {
             assert!((c - w).abs() < 1e-8, "acc weight gap {c} vs {w}");
         }
@@ -2392,14 +2099,20 @@ mod tests {
         let (lambda, _) = planted(100, &[0.8, 0.8], 0.5, 1);
         let prev = GenerativeModel::new(3, LabelScheme::Binary);
         let mut gm = GenerativeModel::new(2, LabelScheme::Binary);
-        gm.fit_warm(&lambda, &TrainConfig::default(), &prev, &[]);
+        gm.fit_warm_from(
+            &lambda,
+            &build_plan(&lambda),
+            &TrainConfig::default(),
+            &prev,
+            &[],
+        );
     }
 
     #[test]
     fn empty_matrix_fit_is_noop() {
         let lambda = LabelMatrixBuilder::new(0, 2).build();
         let mut gm = GenerativeModel::new(2, LabelScheme::Binary);
-        let report = gm.fit(&lambda, &TrainConfig::default());
+        let report = gm.fit(&lambda, None, &TrainConfig::default());
         assert_eq!(report.epochs, 0);
     }
 

@@ -25,7 +25,7 @@ use snorkel_linalg::SparseVec;
 use snorkel_matrix::{LabelMatrix, ShardedMatrix};
 
 use crate::label_model::{LabelModel, ModelRegistry};
-use crate::model::{GenerativeModel, LabelScheme, TrainConfig};
+use crate::model::{build_plan, LabelScheme, TrainConfig};
 use crate::optimizer::{select_model, ModelingStrategy, OptimizerConfig};
 
 /// Start a span for one pipeline stage. The span's
@@ -250,7 +250,7 @@ impl Pipeline {
             let trainer = DiscTrainer::new(disc_cfg.clone());
             let xs = trainer.featurize(corpus, candidates);
             let num_classes = LabelScheme::from_cardinality(lambda.cardinality()).num_classes();
-            let (disc, disc_report) = trainer.train(&xs, &labels, num_classes, plan.as_ref());
+            let (disc, disc_report) = trainer.train(&xs, &labels, num_classes, Some(&plan));
             report.disc = Some(disc);
             report.disc_report = Some(disc_report);
             report.timings.distillation = disc_span.finish();
@@ -271,7 +271,7 @@ impl Pipeline {
     fn run_from_matrix_inner(
         &self,
         lambda: &LabelMatrix,
-    ) -> (Vec<Vec<f64>>, PipelineReport, Option<ShardedMatrix>) {
+    ) -> (Vec<Vec<f64>>, PipelineReport, ShardedMatrix) {
         let strategy_span = stage_span("strategy_selection");
 
         let (strategy, predicted) = match &self.config.force_strategy {
@@ -302,17 +302,11 @@ impl Pipeline {
             .registry
             .build(&strategy, lambda.num_lfs(), lambda.cardinality())
             .unwrap_or_else(|e| panic!("pipeline misconfigured: {e}"));
-        // Resolve the scale-out plan once and reuse it for both training
-        // and the final marginals pass — unless the backend would not
-        // profit (majority vote: the Algorithm-1 skip-work branch must
-        // not pay an index build it cannot amortize).
-        let plan = if model.benefits_from_plan() {
-            GenerativeModel::plan_for(lambda, &self.config.train)
-        } else {
-            None
-        };
-        model.fit(lambda, plan.as_ref(), &self.config.train);
-        let labels = model.marginals(lambda, plan.as_ref());
+        // Build the pattern plan once and reuse it for training, the
+        // final marginals pass and the distillation ranges.
+        let plan = build_plan(lambda);
+        model.fit(lambda, Some(&plan), &self.config.train);
+        let labels = model.marginals(lambda, Some(&plan));
         let training_time = training_span.finish();
 
         let report = PipelineReport {

@@ -10,12 +10,45 @@
 
 use snorkel_matrix::{LabelMatrix, Vote};
 
-/// Unweighted majority vote per data point.
+use crate::model::LabelScheme;
+
+/// The unweighted majority vote of one row: the plurality class of
+/// `votes` under `scheme`, or `None` on a tie for the top count and on
+/// an all-abstain row. `tally` is caller-owned scratch of
+/// `scheme.num_classes()` elements, overwritten on every call.
 ///
-/// Binary scheme: the sign of the vote sum (`0` on ties and empty rows).
-/// Multi-class scheme: the plurality class (`0` on ties and empty rows).
+/// This is the one majority vote every other one calls: the
+/// matrix-level [`majority_vote`], the generative model's class-balance
+/// and accuracy initializations, the majority-vote backend's posterior,
+/// the moment statistics and the streaming drift windows.
+pub fn plurality_class(scheme: LabelScheme, votes: &[Vote], tally: &mut [usize]) -> Option<usize> {
+    tally.fill(0);
+    for &v in votes {
+        if let Some(c) = scheme.class_of_vote(v) {
+            tally[c] += 1;
+        }
+    }
+    let best = tally.iter().copied().max().unwrap_or(0);
+    if best == 0 {
+        return None;
+    }
+    let mut winners = tally.iter().enumerate().filter(|&(_, &t)| t == best);
+    let (winner, _) = winners.next()?;
+    winners.next().is_none().then_some(winner)
+}
+
+/// Unweighted majority vote per data point: the vote value of the row's
+/// [`plurality_class`], `0` on ties and empty rows. In the binary
+/// scheme this is the sign of the vote sum.
 pub fn majority_vote(lambda: &LabelMatrix) -> Vec<Vote> {
-    weighted_vote(lambda, &vec![1.0; lambda.num_lfs()])
+    let scheme = LabelScheme::from_cardinality(lambda.cardinality());
+    let mut tally = vec![0usize; scheme.num_classes()];
+    (0..lambda.num_points())
+        .map(|i| {
+            let (_, votes) = lambda.row(i);
+            plurality_class(scheme, votes, &mut tally).map_or(0, |c| scheme.vote_of_class(c))
+        })
+        .collect()
 }
 
 /// Weighted majority vote per data point with per-LF weights.

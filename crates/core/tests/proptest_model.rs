@@ -1,5 +1,9 @@
 //! Property tests on the generative model and vote machinery.
 
+#[path = "support/identity_plan.rs"]
+mod identity_plan;
+
+use identity_plan::identity_plan;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,8 +43,8 @@ proptest! {
         let (lambda, _) = planted(200, &accs, pl, seed);
         let mut gm = GenerativeModel::new(accs.len(), LabelScheme::Binary);
         let cfg = TrainConfig { epochs: 50, ..TrainConfig::default() };
-        gm.fit(&lambda, &cfg);
-        for post in gm.marginals(&lambda) {
+        gm.fit(&lambda, None, &cfg);
+        for post in gm.marginals(&lambda, None) {
             let sum: f64 = post.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9);
             prop_assert!(post.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -119,10 +123,10 @@ proptest! {
 
         // Concrete (pre-redesign) path.
         let mut concrete = GenerativeModel::new(accs.len(), LabelScheme::Binary);
-        concrete.fit(&lambda, &cfg);
-        let reference = concrete.marginals_rowwise(&lambda);
+        concrete.fit(&lambda, None, &cfg);
+        let reference = concrete.marginals(&lambda, Some(&identity_plan(&lambda)));
 
-        // Trait path, row-wise.
+        // Trait path, self-built plan.
         let mut traited: Box<dyn LabelModel> =
             Box::new(GenerativeModel::new(accs.len(), LabelScheme::Binary));
         traited.fit(&lambda, None, &cfg);
@@ -155,8 +159,8 @@ proptest! {
         };
         let mut a = GenerativeModel::new(accs.len(), LabelScheme::Binary);
         let mut b = GenerativeModel::new(accs.len(), LabelScheme::Binary);
-        a.fit(&lambda, &cfg);
-        b.fit(&lambda, &cfg);
+        a.fit(&lambda, None, &cfg);
+        b.fit(&lambda, None, &cfg);
         prop_assert_eq!(a.accuracy_weights(), b.accuracy_weights());
         prop_assert!(a.propensity_weights().iter().all(|w| w.is_finite()));
     }
@@ -172,7 +176,7 @@ fn accuracy_ordering_recovered_across_seeds() {
     for seed in 0..trials {
         let (lambda, _) = planted(3000, &accs, 0.6, seed);
         let mut gm = GenerativeModel::new(3, LabelScheme::Binary);
-        gm.fit(&lambda, &TrainConfig::default());
+        gm.fit(&lambda, None, &TrainConfig::default());
         let w = gm.accuracy_weights();
         if w[0] > w[1] && w[1] > w[2] {
             ordered += 1;

@@ -3,18 +3,24 @@
 //! 0 = all cores),
 //!
 //! * pattern-deduplicated **marginals** are *bit-identical* to the
-//!   row-wise path — a pattern's posterior is computed by the exact
-//!   float-op sequence its rows' posteriors would have used;
+//!   identity plan's (one pattern per row, the row-wise walk) — a
+//!   pattern's posterior is computed by the exact float-op sequence its
+//!   rows' posteriors would have used;
 //! * pattern-deduplicated **fits** land on the same optimum as the
-//!   row-wise fit (≤ 1e-12 on every posterior), for every shard count —
-//!   the per-pattern sufficient statistics differ from the row-wise
-//!   sums only in floating-point summation order, and the tol-driven
-//!   fixed-point iteration erases that;
+//!   identity-plan fit (≤ 1e-12 on every posterior), for every shard
+//!   count — the per-pattern sufficient statistics differ from the
+//!   per-row sums only in floating-point summation order, and the
+//!   tol-driven fixed-point iteration erases that;
 //! * the plan structures themselves satisfy their invariants
 //!   ([`ShardedMatrix::validate`]).
 
+#[path = "support/identity_plan.rs"]
+mod identity_plan;
+
+use identity_plan::identity_plan;
 use proptest::prelude::*;
-use snorkel_core::model::{GenerativeModel, LabelScheme, Scaleout, TrainConfig};
+use snorkel_core::label_model::LabelModel;
+use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, ShardedMatrix, Vote};
 
 /// Arbitrary (matrix, cardinality) with duplicate-heavy rows: each row
@@ -86,35 +92,36 @@ proptest! {
         prop_assert!(plan.num_patterns() <= whole.num_patterns() * plan.num_shards());
     }
 
-    /// Deduplicated marginals are bit-identical to row-wise marginals,
-    /// for shard counts 0 (= all cores), 1, and arbitrary.
+    /// Deduplicated marginals are bit-identical to identity-plan
+    /// marginals, for shard counts 0 (= all cores), 1, and arbitrary.
     #[test]
     fn marginals_bit_identical_across_paths(
         lambda in matrix_strategy(),
         shards in 0usize..6,
     ) {
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
+        let identity = identity_plan(&lambda);
         let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-        // Fit row-wise so every path sees identical weights.
-        gm.fit(&lambda, &TrainConfig {
+        // Fit through the identity plan so every path sees identical
+        // weights.
+        gm.fit(&lambda, Some(&identity), &TrainConfig {
             epochs: 40,
-            scaleout: Scaleout::RowWise,
             ..TrainConfig::default()
         });
-        let reference = gm.marginals_rowwise(&lambda);
+        let reference = gm.marginals(&lambda, Some(&identity));
         for s in [shards, 0, 1] {
             let plan = ShardedMatrix::build(&lambda, s);
-            let dedup = gm.marginals_with(&lambda, &plan);
+            let dedup = gm.marginals(&lambda, Some(&plan));
             prop_assert_eq!(
                 &dedup, &reference,
                 "marginals must be bit-identical at shard count {}", s
             );
         }
-        // The auto path agrees too (small inputs: row-wise branch).
-        prop_assert_eq!(&gm.marginals(&lambda), &reference);
+        // The self-built plan agrees too.
+        prop_assert_eq!(&gm.marginals(&lambda, None), &reference);
     }
 
-    /// Row-wise and sharded fits land on the same optimum: every
+    /// Identity-plan and sharded fits land on the same optimum: every
     /// posterior agrees to ≤ 1e-12, for any shard count including 1 and
     /// 0 (= all cores).
     #[test]
@@ -123,15 +130,16 @@ proptest! {
         shards in 0usize..6,
     ) {
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let cfg = TrainConfig { scaleout: Scaleout::RowWise, ..TrainConfig::default() };
+        let cfg = TrainConfig::default();
+        let identity = identity_plan(&lambda);
         let mut rowwise = GenerativeModel::new(lambda.num_lfs(), scheme);
-        rowwise.fit(&lambda, &cfg);
-        let reference = rowwise.marginals_rowwise(&lambda);
+        rowwise.fit(&lambda, Some(&identity), &cfg);
+        let reference = rowwise.marginals(&lambda, Some(&identity));
         for s in [shards, 1, 0] {
-            let cfg = TrainConfig { scaleout: Scaleout::Sharded { shards: s }, ..cfg.clone() };
+            let plan = ShardedMatrix::build(&lambda, s);
             let mut sharded = GenerativeModel::new(lambda.num_lfs(), scheme);
-            sharded.fit(&lambda, &cfg);
-            let gap = max_marginal_gap(&sharded.marginals_rowwise(&lambda), &reference);
+            sharded.fit(&lambda, Some(&plan), &cfg);
+            let gap = max_marginal_gap(&sharded.marginals(&lambda, Some(&identity)), &reference);
             prop_assert!(
                 gap <= 1e-12,
                 "shard count {}: fit diverged from row-wise by {:e}", s, gap
@@ -139,7 +147,7 @@ proptest! {
         }
     }
 
-    /// Warm restarts through the sharded path match row-wise warm
+    /// Warm restarts through the sharded path match identity-plan warm
     /// restarts after a column edit.
     #[test]
     fn warm_fit_matches_across_paths(
@@ -148,9 +156,9 @@ proptest! {
         col_seed in 0usize..64,
     ) {
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let rw = TrainConfig { scaleout: Scaleout::RowWise, ..TrainConfig::default() };
+        let rw = TrainConfig::default();
         let mut base = GenerativeModel::new(lambda.num_lfs(), scheme);
-        base.fit(&lambda, &rw);
+        base.fit(&lambda, Some(&identity_plan(&lambda)), &rw);
 
         // Edit one column: drop every second of its entries.
         let mut edited = lambda.clone();
@@ -164,18 +172,19 @@ proptest! {
             .collect();
         edited.replace_column(j, &entries);
 
+        let identity = identity_plan(&edited);
         let mut warm_rw = GenerativeModel::new(lambda.num_lfs(), scheme);
-        warm_rw.fit_warm(&edited, &rw, &base, &[j]);
-        let reference = warm_rw.marginals_rowwise(&edited);
+        warm_rw.fit_warm(&edited, Some(&identity), &rw, &base, &[j]);
+        let reference = warm_rw.marginals(&edited, Some(&identity));
 
         let plan = ShardedMatrix::build(&edited, shards);
         let mut warm_sh = GenerativeModel::new(lambda.num_lfs(), scheme);
-        warm_sh.fit_warm_with(&edited, &plan, &rw, &base, &[j]);
+        warm_sh.fit_warm(&edited, Some(&plan), &rw, &base, &[j]);
         // Warm restarts inherit the crate-wide warm/cold guarantee
         // (≤1e-9): starting next to the optimum, the stall backstop can
         // stop each path a few ulps apart along near-degenerate ridges,
         // so the cold-fit 1e-12 bound does not transfer verbatim.
-        let gap = max_marginal_gap(&warm_sh.marginals_rowwise(&edited), &reference);
+        let gap = max_marginal_gap(&warm_sh.marginals(&edited, Some(&identity)), &reference);
         prop_assert!(gap <= 1e-9, "warm sharded fit diverged by {:e}", gap);
     }
 }

@@ -54,21 +54,15 @@ use crate::softmax::SoftmaxRegression;
 /// assert!((v.norm2_sq() - 1.0).abs() < 1e-9);
 /// ```
 pub fn hash_features<'a>(names: impl IntoIterator<Item = &'a str>, buckets: u32) -> SparseVec {
-    let pairs: Vec<(u32, f64)> = names
-        .into_iter()
-        .map(|name| (hash_feature(name, buckets), 1.0))
-        .collect();
-    let mut v = SparseVec::from_pairs(pairs);
-    v.l2_normalize();
-    v
+    let mut out = SparseVec::new();
+    hash_features_into(names, buckets, &mut Vec::new(), &mut out);
+    out
 }
 
 /// [`hash_features`] into caller-owned scratch: `pairs` is the hash
 /// staging buffer, `out` receives the L2-normalized vector. Both keep
 /// their capacity across calls, so a warm serving worker hashes every
-/// request without touching the allocator. Produces exactly what
-/// `hash_features` returns (same hash, same merge order, same
-/// normalization).
+/// request without touching the allocator.
 pub fn hash_features_into<'a>(
     names: impl IntoIterator<Item = &'a str>,
     buckets: u32,
@@ -251,22 +245,17 @@ impl DistilledModel {
         }
     }
 
-    /// Class posterior for one feature vector, in marginal-row order.
+    /// Class posterior for one feature vector, in marginal-row order: a
+    /// wrapper over [`Self::predict_proba_into`].
     pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        match self {
-            DistilledModel::Binary(m) => {
-                let p = m.predict_proba(x);
-                vec![p, 1.0 - p]
-            }
-            DistilledModel::Multi(m) => m.predict_proba(x),
-        }
+        let mut out = vec![0.0; self.num_classes()];
+        self.predict_proba_into(x, &mut out);
+        out
     }
 
     /// [`Self::predict_proba`] into a caller-owned slice of
-    /// `num_classes()` elements, allocating nothing; the values written
-    /// are bit-identical to `predict_proba`'s (same score, same
-    /// sigmoid/softmax sequence). This is the kernel under the serving
-    /// layer's `PREDICT` arena path.
+    /// `num_classes()` elements, allocating nothing. This is the kernel
+    /// under the serving layer's `PREDICT` arena path.
     ///
     /// Panics if `out.len() != num_classes()`.
     pub fn predict_proba_into(&self, x: &SparseVec, out: &mut [f64]) {

@@ -109,17 +109,17 @@ impl SoftmaxRegression {
             .collect()
     }
 
-    /// Class probability distribution for one example.
+    /// Class probability distribution for one example: a wrapper over
+    /// [`Self::predict_proba_into`].
     pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        let mut scores = self.scores(x);
-        softmax_in_place(&mut scores);
-        scores
+        let mut out = vec![0.0; self.weights.len()];
+        self.predict_proba_into(x, &mut out);
+        out
     }
 
     /// [`Self::predict_proba`] into a caller-owned slice of
-    /// `num_classes()` elements, allocating nothing. Same float-op
-    /// sequence (per-class dot + bias, then softmax in place), so the
-    /// written values are bit-identical to `predict_proba`'s.
+    /// `num_classes()` elements, allocating nothing: per-class dot +
+    /// bias, then softmax in place.
     ///
     /// Panics if `out.len() != num_classes()`.
     pub fn predict_proba_into(&self, x: &SparseVec, out: &mut [f64]) {

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use snorkel_context::{CandidateId, CandidateView, Corpus};
 use snorkel_core::label_model::{LabelModel, ModelRegistry, ModelSnapshot};
-use snorkel_core::model::{LabelScheme, ParamsError, Scaleout, TrainConfig, SCALEOUT_MIN_ROWS};
+use snorkel_core::model::{build_plan, plan_shards, LabelScheme, ParamsError, TrainConfig};
 use snorkel_core::optimizer::{
     advantage_upper_bound, select_model, ModelingStrategy, OptimizerConfig,
 };
@@ -91,6 +91,22 @@ fn ingest_span() -> snorkel_obs::Span {
 /// (`snorkel_stream_drift_score_lf_ppm{lf="…"}`, scores × 10⁶ — the
 /// registry's gauges are integers). Registered here rather than in
 /// `snorkel-stream` because only the session knows the LF names.
+/// Extend `plan` over the rows appended to `lambda`: they are interned
+/// into the tail shard while the plan's shard count is the shard rule's
+/// for the grown Λ. Otherwise (growth crossed `SCALEOUT_MIN_ROWS`, or
+/// the plan was thawed from a snapshot written under another rule) the
+/// plan is rebuilt, as a cold build of Λ would be. Returns whether it
+/// was rebuilt.
+fn grow_plan(plan: &mut ShardedMatrix, lambda: &LabelMatrix) -> bool {
+    if plan.num_shards() == plan_shards(lambda.num_points()) {
+        plan.append_rows(lambda);
+        false
+    } else {
+        *plan = build_plan(lambda);
+        true
+    }
+}
+
 fn publish_drift_gauges<'a>(names: impl Iterator<Item = &'a str>, scores: &[f64]) {
     let registry = snorkel_obs::global();
     for (name, score) in names.zip(scores) {
@@ -129,13 +145,6 @@ pub struct SessionConfig {
     pub warm_start: bool,
     /// Maximum cached columns (live suite columns are never evicted).
     pub cache_capacity: usize,
-    /// Scale-out execution for exact inference/training (see
-    /// [`Scaleout`]). When active, the session keeps the sharded pattern
-    /// index alive across refreshes and delta edits update only the
-    /// touched patterns — an appended candidate batch interns just the
-    /// new rows, a one-column edit re-signs just the rows that voted in
-    /// the old or new column.
-    pub scaleout: Scaleout,
     /// Distillation: when set, [`IncrementalSession::distill`] trains a
     /// serving-side [`DistilledModel`] on the label model's marginals
     /// (warm across refreshes). The model carries a *staleness
@@ -159,7 +168,6 @@ impl Default for SessionConfig {
             reuse_structure_on_column_edit: true,
             warm_start: true,
             cache_capacity: 256,
-            scaleout: Scaleout::Auto,
             distill: None,
             drift: DriftConfig::default(),
         }
@@ -228,9 +236,8 @@ pub struct RefreshReport {
     pub warm_started: bool,
     /// Training iterations run (0 for fit-free backends like MV).
     pub fit_epochs: usize,
-    /// Distinct vote patterns in the sharded scale-out plan (`None` when
-    /// the refresh ran row-wise).
-    pub unique_patterns: Option<usize>,
+    /// Distinct vote patterns in the sharded pattern plan.
+    pub unique_patterns: usize,
     /// Cumulative cache statistics.
     pub cache: CacheStats,
     /// Stage timings.
@@ -468,8 +475,11 @@ pub struct IncrementalSession {
     versions: std::collections::HashMap<String, u64>,
     cache: LfResultCache,
     lambda: Option<LabelMatrix>,
-    /// Sharded pattern index over `lambda`, maintained incrementally
-    /// across refreshes (None when scale-out is off or Λ is too small).
+    /// Sharded pattern index over `lambda` (present exactly when `lambda`
+    /// is), maintained incrementally across refreshes and ingests: an
+    /// appended candidate batch interns just the new rows, a one-column
+    /// edit re-signs just the rows that voted in the old or new column.
+    /// Every fit, marginals pass and distillation range reads it.
     plan: Option<ShardedMatrix>,
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
@@ -619,7 +629,7 @@ impl IncrementalSession {
         self.model.as_deref().map(LabelModel::backend_name)
     }
 
-    /// The live sharded pattern plan (after a scale-out refresh).
+    /// The live sharded pattern plan (after the first refresh).
     pub fn pattern_plan(&self) -> Option<&ShardedMatrix> {
         self.plan.as_ref()
     }
@@ -1056,13 +1066,16 @@ impl IncrementalSession {
                 "a refresh happened but Λ is missing".into(),
             ));
         }
+        // Snapshots of sessions that never built a plan (older ones,
+        // below the old row-count threshold) thaw with a rebuilt one.
         let plan = match (plan, &lambda) {
-            (None, _) => None,
+            (None, None) => None,
             (Some(_), None) => {
                 return Err(ThawError::Inconsistent(
                     "a sharded plan without a matrix".into(),
                 ))
             }
+            (None, Some(lambda)) => Some(build_plan(lambda)),
             (Some(parts), Some(lambda)) => {
                 let plan = ShardedMatrix::from_parts(parts).map_err(ThawError::Inconsistent)?;
                 plan.validate(lambda).map_err(ThawError::Inconsistent)?;
@@ -1326,40 +1339,27 @@ impl IncrementalSession {
             lambda_update = LambdaUpdate::Assembled;
         }
         // Keep the sharded pattern plan in sync with Λ. Delta refreshes
-        // touch only the affected patterns: an appended batch interns
-        // just the new rows into the tail shard; a column splice
-        // re-signs just the rows that voted in the old or new column.
-        // Structural suite changes (and plan activation) rebuild.
-        let want_plan = match self.config.scaleout {
-            Scaleout::RowWise => false,
-            Scaleout::Sharded { .. } => true,
-            Scaleout::Auto => m >= SCALEOUT_MIN_ROWS,
-        };
-        let shard_count = match self.config.scaleout {
-            Scaleout::Sharded { shards } => shards,
-            _ => 0,
-        };
+        // touch only the affected patterns: an appended batch grows the
+        // plan (see `grow_plan`); a column splice re-signs just the rows
+        // that voted in the old or new column. Structural suite changes
+        // rebuild.
         {
             let lambda = self.lambda.as_ref().expect("Λ assembled above");
-            if !want_plan {
-                self.plan = None;
-            } else {
-                let rebuild = match (&mut self.plan, lambda_update) {
-                    (Some(plan), LambdaUpdate::Patched { .. }) => {
-                        if new_rows > 0 {
-                            plan.append_rows(lambda);
-                        }
+            let rebuild = match (&mut self.plan, lambda_update) {
+                (Some(plan), LambdaUpdate::Patched { .. }) => {
+                    let rebuilt = new_rows > 0 && grow_plan(plan, lambda);
+                    if !rebuilt {
                         for &j in &changed_cols {
                             plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
                         }
-                        false
                     }
-                    (Some(_), LambdaUpdate::Unchanged) => false,
-                    _ => true,
-                };
-                if rebuild {
-                    self.plan = Some(ShardedMatrix::build(lambda, shard_count));
+                    false
                 }
+                (Some(_), LambdaUpdate::Unchanged) => false,
+                _ => true,
+            };
+            if rebuild {
+                self.plan = Some(build_plan(lambda));
             }
         }
         let lambda = self.lambda.as_ref().expect("Λ assembled above");
@@ -1430,19 +1430,9 @@ impl IncrementalSession {
             .model
             .as_deref()
             .is_some_and(|prev| prev.scheme() == scheme);
-        // The session-level scale-out decision governs training: with a
-        // live plan, train and infer through it; without one, pin the
-        // model to the row-wise path so it does not rebuild a plan of
-        // its own every refresh.
+        // Train and infer through the live plan.
         let plan = self.plan.as_ref();
-        let train_cfg = if plan.is_some() {
-            self.config.train.clone()
-        } else {
-            TrainConfig {
-                scaleout: Scaleout::RowWise,
-                ..self.config.train.clone()
-            }
-        };
+        let train_cfg = &self.config.train;
         let report = if self.config.warm_start && prev_compatible {
             let prev = self.model.take().expect("prev_compatible checked");
             if structural || prev.num_lfs() != n {
@@ -1454,12 +1444,12 @@ impl IncrementalSession {
                     .collect();
                 let fresh: Vec<usize> = (0..n).filter(|&j| col_map[j].is_none()).collect();
                 let remapped = prev.remapped(&col_map);
-                model.fit_warm(lambda, plan, &train_cfg, remapped.as_ref(), &fresh)
+                model.fit_warm(lambda, plan, train_cfg, remapped.as_ref(), &fresh)
             } else {
-                model.fit_warm(lambda, plan, &train_cfg, prev.as_ref(), &changed_cols)
+                model.fit_warm(lambda, plan, train_cfg, prev.as_ref(), &changed_cols)
             }
         } else {
-            model.fit(lambda, plan, &train_cfg)
+            model.fit(lambda, plan, train_cfg)
         };
         let warm_started = report.warm_started;
         let fit_epochs = report.epochs;
@@ -1510,7 +1500,7 @@ impl IncrementalSession {
         metrics
             .cache_evictions
             .add(stats_after.evictions - stats_before.evictions);
-        let unique_patterns = self.plan.as_ref().map(ShardedMatrix::num_patterns);
+        let unique_patterns = self.plan.as_ref().map_or(0, ShardedMatrix::num_patterns);
         self.publish_gauges();
 
         let report = RefreshReport {
@@ -1631,9 +1621,10 @@ impl IncrementalSession {
                 }
             }
             lambda.apply_delta(&MatrixDelta::AppendRows { rows });
-            if let Some(plan) = &mut self.plan {
-                plan.append_rows(lambda);
-            }
+            grow_plan(
+                self.plan.as_mut().expect("a refreshed session has a plan"),
+                lambda,
+            );
         }
 
         // 3. Fold the new rows into the streaming statistics.
@@ -1648,16 +1639,10 @@ impl IncrementalSession {
         // 4. Online refit from the running statistics — the steady-state
         //    fast path the streaming bench gates: O(n³) in the LF count,
         //    independent of the corpus size.
-        let train_cfg = if self.plan.is_some() {
-            self.config.train.clone()
-        } else {
-            TrainConfig {
-                scaleout: Scaleout::RowWise,
-                ..self.config.train.clone()
-            }
-        };
         let online_fit = match self.model.as_deref_mut() {
-            Some(model) => model.fit_online(stream.stats(), &train_cfg).is_some(),
+            Some(model) => model
+                .fit_online(stream.stats(), &self.config.train)
+                .is_some(),
             None => false,
         };
 

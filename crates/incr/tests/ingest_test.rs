@@ -12,10 +12,12 @@ use std::sync::Arc;
 
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::label_model::MomentStats;
-use snorkel_core::model::LabelScheme;
+use snorkel_core::model::{build_plan, LabelScheme, SCALEOUT_MIN_ROWS};
 use snorkel_core::optimizer::OptimizerConfig;
+use snorkel_core::pipeline::DiscTrainer;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf};
+use snorkel_matrix::PatternIndex;
 use snorkel_nlp::tokenize;
 use snorkel_stream::DriftConfig;
 
@@ -87,6 +89,75 @@ fn counting_lf(name: &str, vote_mod: u64, counter: Arc<AtomicUsize>) -> BoxedLf 
             -1
         }
     })
+}
+
+/// Growth across the plan's row-count threshold, by streamed ingest or
+/// by refresh, ends on the plan a cold build of the same Λ picks: the
+/// same shard count and the same distillation row ranges. Further
+/// growth then interns into the tail shard of that (on a multi-core
+/// host, multi-shard) plan.
+#[test]
+fn growth_across_the_shard_threshold_matches_a_cold_plan() {
+    let below = SCALEOUT_MIN_ROWS - 100;
+    for by_ingest in [true, false] {
+        let mut session =
+            IncrementalSession::over_all_candidates(build_corpus(below), moment_config(512));
+        for j in 0..3 {
+            session.add_lf(counting_lf(
+                &format!("lf_{j}"),
+                2 + j as u64,
+                Arc::new(AtomicUsize::new(0)),
+            ));
+        }
+        session.refresh();
+        assert_eq!(session.pattern_plan().expect("plan").num_shards(), 1);
+
+        let mut rows = below;
+        let mut crossing_ranges: Option<Vec<(usize, usize)>> = None;
+        for batch in [200, 150] {
+            let ids = grow_corpus(&mut session, rows, batch);
+            rows += batch;
+            if by_ingest {
+                session.ingest_batch(&ids);
+            } else {
+                session.ingest_candidates(&ids);
+                session.refresh();
+            }
+            let lambda = session.label_matrix().expect("Λ built");
+            let m = lambda.num_points();
+            assert_eq!(m, rows);
+            assert!(m >= SCALEOUT_MIN_ROWS);
+            let live = session.pattern_plan().expect("plan");
+            live.validate(lambda).expect("plan matches Λ");
+            let cold = build_plan(lambda);
+            assert_eq!(
+                live.num_shards(),
+                cold.num_shards(),
+                "by_ingest={by_ingest}"
+            );
+            let ranges = DiscTrainer::ranges_for(Some(live), m);
+            let cold_ranges = DiscTrainer::ranges_for(Some(&cold), m);
+            match crossing_ranges.take() {
+                // The crossing rebuilt the plan, as a cold build would.
+                None => assert_eq!(ranges, cold_ranges, "by_ingest={by_ingest}"),
+                // The next batch extends the tail shard (or, on a host
+                // with many small shards, rebalances to the cold split).
+                Some(mut extended) => {
+                    extended.last_mut().expect("≥1 range").1 = m;
+                    assert!(
+                        ranges == extended || ranges == cold_ranges,
+                        "by_ingest={by_ingest}: {ranges:?}"
+                    );
+                }
+            }
+            crossing_ranges = Some(ranges);
+            for shard in live.shards() {
+                let fresh =
+                    PatternIndex::build_range(lambda, shard.start_row(), shard.row_range().end);
+                assert_eq!(shard.num_patterns(), fresh.num_patterns());
+            }
+        }
+    }
 }
 
 #[test]

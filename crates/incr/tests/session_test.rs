@@ -350,14 +350,16 @@ fn acceptance_one_lf_edit_is_5x_faster_than_cold_pipeline() {
     );
 }
 
-/// Scale-out integration: with a forced sharded plan, every refresh
-/// keeps the pattern index consistent with Λ through delta edits
-/// (column edit, candidate ingestion, LF removal), updating only the
-/// touched patterns — and labels still match a cold row-wise pipeline.
+/// Scale-out integration: every refresh keeps the session's pattern
+/// plan consistent with Λ through delta edits (column edit, candidate
+/// ingestion, LF removal), updating only the touched patterns — and
+/// labels still match a cold pipeline. The session's own plan has one
+/// shard at this size, so a 3-shard plan is installed through a
+/// freeze/thaw round trip (the way a snapshot written on a bigger
+/// corpus or another host carries one) before the edits run on it.
 #[test]
 fn sharded_session_keeps_pattern_plan_consistent() {
-    use snorkel_core::model::Scaleout;
-    use snorkel_matrix::PatternIndex;
+    use snorkel_matrix::{PatternIndex, ShardedMatrix};
 
     let (corpus, ids) = build_corpus(400);
     let (cold_corpus, _) = build_corpus(400);
@@ -369,7 +371,6 @@ fn sharded_session_keeps_pattern_plan_consistent() {
         corpus,
         SessionConfig {
             optimizer: optimizer.clone(),
-            scaleout: Scaleout::Sharded { shards: 3 },
             ..SessionConfig::default()
         },
     );
@@ -389,34 +390,56 @@ fn sharded_session_keeps_pattern_plan_consistent() {
             })
             .collect()
     };
+    let lf_1_edit = || {
+        lf("lf_1", |x| {
+            if x.sentence().text().len() % 7 == 0 {
+                1
+            } else {
+                0
+            }
+        })
+    };
     for f in suite(&[2, 3, 4, 5]) {
         session.add_lf(f);
     }
 
-    let check_plan = |session: &IncrementalSession| {
+    let check_plan = |session: &IncrementalSession, shards: usize| {
         let lambda = session.label_matrix().expect("Λ built");
-        let plan = session.pattern_plan().expect("sharded plan forced on");
+        let plan = session
+            .pattern_plan()
+            .expect("a refreshed session has a plan");
         plan.validate(lambda).unwrap();
-        assert_eq!(plan.num_shards(), 3);
+        assert_eq!(plan.num_shards(), shards);
         // Same per-shard pattern multiset as a fresh rebuild.
         for shard in plan.shards() {
             let fresh = PatternIndex::build_range(lambda, shard.start_row(), shard.row_range().end);
             assert_eq!(shard.num_patterns(), fresh.num_patterns());
         }
     };
+    // Freeze, swap in a `shards`-shard plan, thaw with the same suite.
+    let reshard = |session: IncrementalSession, lfs: Vec<BoxedLf>, shards: usize| {
+        let mut frozen = session.freeze();
+        let lambda = session.label_matrix().expect("Λ built");
+        frozen.plan = Some(ShardedMatrix::build(lambda, shards).to_parts());
+        match IncrementalSession::thaw(
+            session.corpus().clone(),
+            session.config().clone(),
+            frozen,
+            lfs,
+        ) {
+            Ok(thawed) => thawed,
+            Err(e) => panic!("thaw: {e}"),
+        }
+    };
 
     let (_, report) = session.refresh();
-    assert!(report.unique_patterns.is_some());
-    check_plan(&session);
+    assert!(report.unique_patterns > 0);
+    check_plan(&session, 1);
+    let mut session = reshard(session, suite(&[2, 3, 4, 5]), 3);
+    check_plan(&session, 3);
 
-    // Column edit → refresh_column path.
-    session.edit_lf(lf("lf_1", |x| {
-        if x.sentence().text().len() % 7 == 0 {
-            1
-        } else {
-            0
-        }
-    }));
+    // Column edit → refresh_column path, on all three shards.
+    session.edit_lf(lf_1_edit());
     let (_, report) = session.refresh();
     assert_eq!(
         report.lambda_update,
@@ -425,9 +448,11 @@ fn sharded_session_keeps_pattern_plan_consistent() {
             rows_appended: 0
         }
     );
-    check_plan(&session);
+    check_plan(&session, 3);
 
-    // Candidate ingestion → tail-shard extension path.
+    // Candidate ingestion. The plan is patched, not rebuilt by the
+    // refresh, but 3 shards is not the shard rule's count for 460 rows:
+    // growth rebuilds it to the 1-shard plan a cold build picks.
     let new_ids: Vec<_> = {
         let c = session.corpus_mut();
         let doc = c.add_document("growth");
@@ -450,24 +475,22 @@ fn sharded_session_keeps_pattern_plan_consistent() {
             rows_appended: 60
         }
     );
-    check_plan(&session);
+    check_plan(&session, 1);
 
-    // Structural edit (LF removal) → plan rebuild.
+    // Structural edit (LF removal) on a 3-shard plan → plan rebuild.
+    let mut edited_suite = suite(&[2, 3, 4, 5]);
+    edited_suite[1] = lf_1_edit();
+    let mut session = reshard(session, edited_suite, 3);
+    check_plan(&session, 3);
     session.remove_lf("lf_2");
     let (labels, report) = session.refresh();
     assert_eq!(report.lambda_update, LambdaUpdate::Assembled);
-    check_plan(&session);
+    check_plan(&session, 1);
 
-    // Equivalence with a cold, row-wise pipeline over the final suite.
+    // Equivalence with a cold pipeline over the final suite.
     let mut cold_suite = suite(&[2, 3, 4, 5]);
     cold_suite.remove(2);
-    cold_suite[1] = lf("lf_1", |x| {
-        if x.sentence().text().len() % 7 == 0 {
-            1
-        } else {
-            0
-        }
-    });
+    cold_suite[1] = lf_1_edit();
     let mut cold_corpus = cold_corpus;
     let cold_ids: Vec<_> = {
         let doc = cold_corpus.add_document("growth");

@@ -21,43 +21,20 @@ impl SparseVec {
 
     /// Build from unsorted `(index, value)` pairs; duplicate indices are
     /// merged by summing their values, and exact zeros are dropped.
+    /// A wrapper over [`Self::assign_from_pairs`].
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        let mut idx = Vec::with_capacity(pairs.len());
-        let mut val: Vec<f64> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            if let Some(&last) = idx.last() {
-                if last == i {
-                    *val.last_mut().expect("val tracks idx") += v;
-                    continue;
-                }
-            }
-            idx.push(i);
-            val.push(v);
-        }
-        // Drop entries that merged to exactly zero.
-        let mut out_idx = Vec::with_capacity(idx.len());
-        let mut out_val = Vec::with_capacity(val.len());
-        for (i, v) in idx.into_iter().zip(val) {
-            if v != 0.0 {
-                out_idx.push(i);
-                out_val.push(v);
-            }
-        }
-        SparseVec {
-            idx: out_idx,
-            val: out_val,
-        }
+        let mut out = SparseVec {
+            idx: Vec::with_capacity(pairs.len()),
+            val: Vec::with_capacity(pairs.len()),
+        };
+        out.assign_from_pairs(&mut pairs);
+        out
     }
 
     /// [`Self::from_pairs`] into `self`, reusing both internal buffers:
     /// the reset-and-reuse form for hot paths that hash features per
     /// request. `pairs` is the caller's scratch (sorted in place); after
     /// the warm-up request neither side touches the allocator.
-    ///
-    /// The result is identical to `from_pairs` on the same pairs — same
-    /// sort, same duplicate-merge order (so the same bits when values
-    /// are summed), same exact-zero drop.
     pub fn assign_from_pairs(&mut self, pairs: &mut [(u32, f64)]) {
         pairs.sort_unstable_by_key(|&(i, _)| i);
         self.idx.clear();

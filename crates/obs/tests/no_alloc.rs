@@ -32,10 +32,9 @@ fn record_path_does_not_allocate() {
     // global state).
     Span::start("warmup", Arc::clone(&hist), TraceLevel::Off).finish();
 
-    // The counting allocator is process-global, so an unrelated thread
-    // (the libtest harness) allocating during the window would count
-    // too — min_allocations_over takes the minimum over attempts: if
-    // the record path itself allocated, every attempt would be nonzero.
+    // The counting allocator counts this thread's allocations only, so
+    // other threads (the libtest harness) cannot show up here; the
+    // minimum over attempts absorbs any first-touch warm-up.
     const ATTEMPTS: usize = 5;
     let min_allocs = min_allocations_over(ATTEMPTS, || {
         for i in 0..10_000u64 {

@@ -59,6 +59,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snorkel_context::Corpus;
+use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
 use snorkel_core::model::LabelScheme;
 use snorkel_incr::IncrementalSession;
 use snorkel_lf::Vote;
@@ -1771,30 +1772,8 @@ fn posterior_for(
             }
             Ok(model.posterior(cols, votes))
         }
-        None => Ok(majority_probs(scheme, votes)),
+        None => Ok(MajorityVoteModel::new(session.num_lfs(), scheme).posterior(cols, votes)),
     }
-}
-
-/// Plurality-class probabilities for one vote row (uniform on ties and
-/// all-abstain) — the no-model fallback, mirroring the session's
-/// majority-vote labeling path.
-fn majority_probs(scheme: LabelScheme, votes: &[Vote]) -> Vec<f64> {
-    let k = scheme.num_classes();
-    let mut tally = vec![0usize; k];
-    for &v in votes {
-        if let Some(c) = scheme.class_of_vote(v) {
-            tally[c] += 1;
-        }
-    }
-    let best = tally.iter().copied().max().unwrap_or(0);
-    let winners: Vec<usize> = (0..k).filter(|&c| tally[c] == best).collect();
-    let mut p = vec![0.0; k];
-    if best == 0 || winners.len() > 1 {
-        p.iter_mut().for_each(|x| *x = 1.0 / k as f64);
-    } else {
-        p[winners[0]] = 1.0;
-    }
-    p
 }
 
 /// Text `MARGINAL`: a batch of one through the same
@@ -1898,7 +1877,7 @@ fn handle_apply(inner: &Inner, span1: (usize, usize), span2: (usize, usize), tex
         posterior_for(&state.session, &non_abstain.0, &non_abstain.1)
     } else {
         let scheme = LabelScheme::from_cardinality(state.session.config().executor.cardinality);
-        Ok(majority_probs(scheme, &non_abstain.1))
+        Ok(MajorityVoteModel::new(votes.len(), scheme).posterior(&non_abstain.0, &non_abstain.1))
     };
     match p {
         Ok(p) => {
@@ -2056,9 +2035,7 @@ fn handle_refresh(inner: &Inner, edit: Option<SuiteEdit>) -> String {
             report.columns_reused,
             report.columns_extended,
             report.warm_started,
-            report
-                .unique_patterns
-                .map_or_else(|| "-".into(), |p| p.to_string()),
+            report.unique_patterns,
             if training_set.is_some() {
                 "retraining"
             } else {

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "SNKLSNAP"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 5)
 //! 12      4     section count (u32 LE)
 //! 16      28×k  section table: tag (u32), offset (u64), len (u64),
 //!               FNV-1a checksum of the section bytes (u64)
@@ -89,7 +89,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use snorkel_core::label_model::{ModelSnapshot, MomentStatsParts};
-use snorkel_core::model::{ClassBalance, ModelParams, ParamsError, Scaleout, TrainConfig};
+use snorkel_core::model::{ClassBalance, ModelParams, ParamsError, TrainConfig};
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
@@ -110,6 +110,11 @@ pub const FORMAT_VERSION: u32 = 5;
 
 /// The oldest format version this build still reads.
 pub const MIN_READ_VERSION: u32 = 1;
+
+/// The reserved byte closing the `TCFG` section, as written. Readers
+/// also accept the retired values `0` and `1` (followed by a shard
+/// count); see `dec_train`.
+const TCFG_RESERVED_TAG: u8 = 2;
 
 /// Backend tag bytes of the v2 `MODL` section.
 const MODEL_TAG_GENERATIVE: u8 = 1;
@@ -1020,14 +1025,7 @@ fn enc_train(t: &TrainConfig) -> Vec<u8> {
         }
     }
     w.put_u8(t.clamp_nonadversarial as u8);
-    match t.scaleout {
-        Scaleout::RowWise => w.put_u8(0),
-        Scaleout::Sharded { shards } => {
-            w.put_u8(1);
-            w.put_usize(shards);
-        }
-        Scaleout::Auto => w.put_u8(2),
-    }
+    w.put_u8(TCFG_RESERVED_TAG);
     w.into_bytes()
 }
 
@@ -1066,14 +1064,15 @@ fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
         1 => true,
         v => return Err(corrupt(format!("bad bool {v}"))),
     };
-    let scaleout = match r.u8("scaleout tag")? {
-        0 => Scaleout::RowWise,
-        1 => Scaleout::Sharded {
-            shards: r.usize("shard count")?,
-        },
-        2 => Scaleout::Auto,
-        v => return Err(corrupt(format!("unknown scaleout tag {v}"))),
-    };
+    // The reserved byte once selected the execution strategy; every
+    // value it ever held still parses, and none of them changes anything.
+    match r.u8("reserved tag")? {
+        0 | 2 => {}
+        1 => {
+            r.usize("shard count")?;
+        }
+        v => return Err(corrupt(format!("unknown reserved tag {v}"))),
+    }
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes in TCFG"));
     }
@@ -1092,7 +1091,6 @@ fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
         init_from_majority_vote,
         class_balance,
         clamp_nonadversarial,
-        scaleout,
     })
 }
 
@@ -1353,4 +1351,31 @@ fn dec_repl(r: &mut Reader<'_>) -> Result<ReplMark, SnapError> {
         applied_lsn,
         generation,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte closing `TCFG` once named an execution strategy. Every
+    /// value it ever held parses, to the same config; any other value
+    /// is corruption.
+    #[test]
+    fn tcfg_reserved_tag_accepts_every_retired_value() {
+        let cfg = TrainConfig::default();
+        let written = enc_train(&cfg);
+        assert_eq!(written.last(), Some(&TCFG_RESERVED_TAG));
+        let body = &written[..written.len() - 1];
+        let with_tail = |tail: &[u8]| [body, tail].concat();
+        let mut with_shards = vec![1u8];
+        with_shards.extend_from_slice(&3u64.to_le_bytes());
+        for bytes in [with_tail(&[0]), with_tail(&with_shards), with_tail(&[2])] {
+            let back = dec_train(&mut Reader::new(&bytes)).expect("a retired tag parses");
+            assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        }
+        assert!(matches!(
+            dec_train(&mut Reader::new(&with_tail(&[3]))),
+            Err(SnapError::Corrupt { .. })
+        ));
+    }
 }

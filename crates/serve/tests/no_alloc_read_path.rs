@@ -11,9 +11,10 @@
 //!   of generic std code may allocate where release builds provably do
 //!   not — so CI runs this file with `--release`. A debug run still
 //!   executes everything and reports the counts.
-//! * The counter is process-global, so the measurement takes the
-//!   minimum over several attempts (ambient test-harness threads can
-//!   only inflate a sample, never deflate it).
+//! * The counter is per thread, so the sibling proptest and the test
+//!   harness allocating on other threads never show up in a
+//!   measurement; the minimum over several attempts absorbs any
+//!   first-touch warm-up.
 //!
 //! Alongside the budget, every test checks the replies themselves:
 //! the arena path's bytes must equal the allocating reference path

@@ -7,10 +7,11 @@ use proptest::prelude::*;
 
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::label_model::ModelSnapshot;
-use snorkel_core::model::{ParamsError, Scaleout};
+use snorkel_core::model::ParamsError;
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
+use snorkel_matrix::ShardedMatrix;
 use snorkel_nlp::tokenize;
 use snorkel_serve::{SnapError, Snapshot, FORMAT_VERSION};
 
@@ -73,7 +74,6 @@ fn session_with_strategy(
     rows: usize,
     lf_salts: &[u64],
     cardinality: u8,
-    scaleout: Scaleout,
     strategy: ModelingStrategy,
 ) -> IncrementalSession {
     let (corpus, _) = build_corpus(rows);
@@ -83,7 +83,6 @@ fn session_with_strategy(
             ..LfExecutor::default()
         },
         force_strategy: Some(strategy),
-        scaleout,
         ..SessionConfig::default()
     };
     let mut session = IncrementalSession::over_all_candidates(corpus, config);
@@ -94,17 +93,11 @@ fn session_with_strategy(
     session
 }
 
-fn session_for(
-    rows: usize,
-    lf_salts: &[u64],
-    cardinality: u8,
-    scaleout: Scaleout,
-) -> IncrementalSession {
+fn session_for(rows: usize, lf_salts: &[u64], cardinality: u8) -> IncrementalSession {
     session_with_strategy(
         rows,
         lf_salts,
         cardinality,
-        scaleout,
         ModelingStrategy::GenerativeModel {
             epsilon: 0.0,
             correlations: Vec::new(),
@@ -131,13 +124,17 @@ proptest! {
         rows in 1usize..120,
         lf_salts in prop::collection::vec(0u64..1_000_000, 1..6),
         cardinality in 2u8..5,
-        sharded in prop_oneof![
-            Just(Scaleout::RowWise),
-            Just(Scaleout::Sharded { shards: 3 }),
-        ],
+        three_shards in prop_oneof![Just(false), Just(true)],
     ) {
-        let session = session_for(rows, &lf_salts, cardinality, sharded);
-        let snapshot = snapshot_of(&session);
+        let session = session_for(rows, &lf_salts, cardinality);
+        let mut snapshot = snapshot_of(&session);
+        if three_shards {
+            // The session's own plan has one shard at this size; a
+            // 3-shard plan exercises the multi-shard PLAN section and
+            // its validation on thaw.
+            let lambda = session.label_matrix().expect("Λ built");
+            snapshot.session.plan = Some(ShardedMatrix::build(lambda, 3).to_parts());
+        }
         let bytes = snapshot.to_bytes();
         let back = Snapshot::from_bytes(&bytes).expect("own bytes parse");
 
@@ -163,15 +160,18 @@ proptest! {
         };
         let lambda = session.label_matrix().expect("Λ built");
         prop_assert_eq!(thawed.label_matrix().expect("Λ restored"), lambda);
+        let plan = thawed.pattern_plan().expect("plan restored");
+        let expected_shards = if three_shards { 3.min(rows) } else { 1 };
+        prop_assert_eq!(plan.num_shards(), expected_shards);
         let frozen_marginals = session.model().expect("model").marginals(lambda, None);
-        let thawed_marginals = thawed.model().expect("model").marginals(lambda, None);
+        let thawed_marginals = thawed.model().expect("model").marginals(lambda, Some(plan));
         prop_assert_eq!(thawed_marginals, frozen_marginals);
     }
 
     /// Any single-bit flip anywhere in the file is detected.
     #[test]
     fn every_bit_flip_is_detected(case_salt in 0u64..1000) {
-        let session = session_for(17, &[case_salt, case_salt + 1], 2, Scaleout::RowWise);
+        let session = session_for(17, &[case_salt, case_salt + 1], 2);
         let bytes = snapshot_of(&session).to_bytes();
         // Sampled positions (every flip at small sizes is ~8·len decode
         // attempts; sample densely but boundedly).
@@ -191,7 +191,7 @@ proptest! {
     /// Every truncation is detected.
     #[test]
     fn every_truncation_is_detected(case_salt in 0u64..1000) {
-        let session = session_for(13, &[case_salt], 2, Scaleout::RowWise);
+        let session = session_for(13, &[case_salt], 2);
         let bytes = snapshot_of(&session).to_bytes();
         let stride = (bytes.len() / 163).max(1);
         for len in (0..bytes.len()).step_by(stride) {
@@ -250,7 +250,7 @@ fn v1_snapshot_thaws_with_generative_backend() {
     // session running the generative backend, bit-identical marginals
     // included.
     let salts = [21u64, 22, 23];
-    let session = session_for(40, &salts, 2, Scaleout::RowWise);
+    let session = session_for(40, &salts, 2);
     let snapshot = snapshot_of(&session);
     let v1_bytes = snapshot
         .to_bytes_with_version(1)
@@ -279,13 +279,7 @@ fn v1_snapshot_thaws_with_generative_backend() {
 
 #[test]
 fn v1_cannot_encode_non_generative_backends() {
-    let session = session_with_strategy(
-        30,
-        &[31, 32],
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MajorityVote,
-    );
+    let session = session_with_strategy(30, &[31, 32], 2, ModelingStrategy::MajorityVote);
     assert_eq!(session.backend_name(), Some("majority-vote"));
     let snapshot = snapshot_of(&session);
     // v2 carries it fine…
@@ -304,7 +298,7 @@ fn mv_and_moment_backends_round_trip_through_snapshots() {
         (ModelingStrategy::MomentMatching, "moment"),
     ] {
         let salts = [41u64, 42, 43];
-        let session = session_with_strategy(35, &salts, 2, Scaleout::RowWise, strategy);
+        let session = session_with_strategy(35, &salts, 2, strategy);
         assert_eq!(session.backend_name(), Some(backend));
         let bytes = snapshot_of(&session).to_bytes();
         let back = Snapshot::from_bytes(&bytes).expect("own bytes parse");
@@ -328,7 +322,7 @@ fn mv_and_moment_backends_round_trip_through_snapshots() {
 
 #[test]
 fn unknown_backend_tag_is_a_typed_error() {
-    let session = session_for(20, &[51, 52], 2, Scaleout::RowWise);
+    let session = session_for(20, &[51, 52], 2);
     let mut bytes = snapshot_of(&session).to_bytes();
     // The v2 MODL section opens with the backend tag byte; overwrite it
     // with an unassigned value and re-seal the checksums.
@@ -341,7 +335,7 @@ fn unknown_backend_tag_is_a_typed_error() {
 
 #[test]
 fn corrupt_model_params_are_typed_errors() {
-    let session = session_for(20, &[61, 62], 2, Scaleout::RowWise);
+    let session = session_for(20, &[61, 62], 2);
     let mut snapshot = snapshot_of(&session);
     // Poison a weight in the encoded model; the decoder must refuse
     // with the typed ParamsError, not thaw a NaN model.
@@ -358,7 +352,7 @@ fn corrupt_model_params_are_typed_errors() {
 
 #[test]
 fn version_bump_is_a_typed_error() {
-    let session = session_for(9, &[3], 2, Scaleout::RowWise);
+    let session = session_for(9, &[3], 2);
     let mut bytes = snapshot_of(&session).to_bytes();
     bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     match Snapshot::from_bytes(&bytes) {
@@ -372,7 +366,7 @@ fn version_bump_is_a_typed_error() {
 
 #[test]
 fn bad_magic_and_short_files_are_typed_errors() {
-    let session = session_for(9, &[4], 2, Scaleout::RowWise);
+    let session = session_for(9, &[4], 2);
     let mut bytes = snapshot_of(&session).to_bytes();
     bytes[0] ^= 0xFF;
     assert!(matches!(
@@ -391,7 +385,7 @@ fn bad_magic_and_short_files_are_typed_errors() {
 
 #[test]
 fn flipped_payload_reports_checksum_mismatch() {
-    let session = session_for(20, &[5, 6], 2, Scaleout::RowWise);
+    let session = session_for(20, &[5, 6], 2);
     let snapshot = snapshot_of(&session);
     let bytes = snapshot.to_bytes();
     // Flip a byte deep in the payload region (past the header).
@@ -409,8 +403,10 @@ fn file_round_trip_is_atomic_and_loadable() {
     let dir = std::env::temp_dir().join(format!("snorkel-snap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("session.snap");
-    let session = session_for(25, &[7, 8, 9], 2, Scaleout::Sharded { shards: 2 });
-    let snapshot = snapshot_of(&session);
+    let session = session_for(25, &[7, 8, 9], 2);
+    let mut snapshot = snapshot_of(&session);
+    let lambda = session.label_matrix().expect("Λ built");
+    snapshot.session.plan = Some(ShardedMatrix::build(lambda, 2).to_parts());
     let written = snapshot.write_file(&path).expect("write");
     assert_eq!(written, std::fs::metadata(&path).expect("stat").len());
     let back = Snapshot::read_file(&path).expect("read");
@@ -426,6 +422,46 @@ fn file_round_trip_is_atomic_and_loadable() {
         .collect();
     assert_eq!(entries, vec![std::ffi::OsString::from("session.snap")]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sessions below 8192 rows used to keep no pattern plan, so their
+/// snapshots carry no `PLAN` section. They thaw with a rebuilt plan and
+/// bit-identical marginals.
+#[test]
+fn snapshot_without_plan_thaws_with_rebuilt_plan() {
+    let salts = [31, 32, 33];
+    let session = session_for(60, &salts, 2);
+    let mut snapshot = snapshot_of(&session);
+    snapshot.session.plan = None;
+    let back = Snapshot::from_bytes(&snapshot.to_bytes()).expect("parses");
+    assert!(back.session.plan.is_none());
+
+    let (corpus, _) = build_corpus(60);
+    let lfs: Vec<BoxedLf> = salts
+        .iter()
+        .enumerate()
+        .map(|(j, &salt)| salted_lf(&format!("lf_{j}"), salt, 2))
+        .collect();
+    let thawed = match IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs)
+    {
+        Ok(s) => s,
+        Err(e) => panic!("thaw: {e}"),
+    };
+    let lambda = thawed.label_matrix().expect("Λ restored");
+    let plan = thawed.pattern_plan().expect("plan rebuilt on thaw");
+    plan.validate(lambda).expect("rebuilt plan matches Λ");
+
+    let bits = |m: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+        m.iter()
+            .map(|row| row.iter().map(|p| p.to_bits()).collect())
+            .collect()
+    };
+    let before = session.model().expect("model").marginals(
+        session.label_matrix().expect("Λ built"),
+        session.pattern_plan(),
+    );
+    let after = thawed.model().expect("model").marginals(lambda, Some(plan));
+    assert_eq!(bits(after), bits(before));
 }
 
 /// A refreshed + distilled binary session (forced generative backend).
@@ -503,7 +539,7 @@ fn v2_files_still_thaw_without_a_disc_model() {
     // A session that never distilled writes a valid v2 file, and this
     // build reads it back: no disc model, generation counter at zero.
     let salts = [61u64, 62];
-    let session = session_for(30, &salts, 2, Scaleout::RowWise);
+    let session = session_for(30, &salts, 2);
     let v2_bytes = snapshot_of(&session)
         .to_bytes_with_version(2)
         .expect("no disc model: v2 encodes");
@@ -527,13 +563,7 @@ fn v2_files_still_thaw_without_a_disc_model() {
 /// formula continues seamlessly, so `build_corpus(base + extra)`
 /// rebuilds the exact corpus a thaw needs.
 fn streaming_session(base: usize, extra: usize, salts: &[u64]) -> IncrementalSession {
-    let mut session = session_with_strategy(
-        base,
-        salts,
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MomentMatching,
-    );
+    let mut session = session_with_strategy(base, salts, 2, ModelingStrategy::MomentMatching);
     assert_eq!(session.backend_name(), Some("moment"));
     let half = extra / 2;
     for (start, count) in [(base, half), (base + half, extra - half)] {
@@ -646,13 +676,7 @@ fn older_versions_cannot_encode_streaming_state() {
 
     // Control: the same session shape minus the stream state still
     // writes v3 — the refusal is about the STRM payload, not the model.
-    let no_stream = session_with_strategy(
-        60,
-        &salts,
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MomentMatching,
-    );
+    let no_stream = session_with_strategy(60, &salts, 2, ModelingStrategy::MomentMatching);
     assert!(no_stream.stream().is_none());
     assert!(snapshot_of(&no_stream).to_bytes_with_version(3).is_ok());
 }

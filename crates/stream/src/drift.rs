@@ -19,6 +19,7 @@
 //! property-tested).
 
 use snorkel_core::model::LabelScheme;
+use snorkel_core::vote::plurality_class;
 use snorkel_matrix::Vote;
 use std::collections::VecDeque;
 
@@ -141,18 +142,12 @@ impl WindowStats {
 
     fn observe(&mut self, scheme: LabelScheme, cols: &[u32], votes: &[Vote], tally: &mut [usize]) {
         self.rows += 1;
-        tally.iter_mut().for_each(|t| *t = 0);
-        for (&c, &v) in cols.iter().zip(votes) {
+        for &c in cols {
             self.votes[c as usize] += 1;
-            if let Some(class) = scheme.class_of_vote(v) {
-                tally[class] += 1;
-            }
         }
-        let best = tally.iter().copied().max().unwrap_or(0);
-        if best == 0 || tally.iter().filter(|&&t| t == best).count() != 1 {
+        let Some(mv) = plurality_class(scheme, votes, tally) else {
             return;
-        }
-        let mv = tally.iter().position(|&t| t == best).expect("best exists");
+        };
         for (&c, &v) in cols.iter().zip(votes) {
             if let Some(class) = scheme.class_of_vote(v) {
                 let j = c as usize;

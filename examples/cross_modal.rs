@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example cross_modal`
 
+use snorkel::core::label_model::LabelModel;
 use snorkel::core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::datasets::{radiology, TaskConfig};
 use snorkel::disc::metrics::roc_auc;
@@ -25,7 +26,7 @@ fn main() {
     let lambda = task.label_matrix(&task.train);
     println!("text label matrix density: {:.2}", lambda.label_density());
     let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary);
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
     let soft = gm.prob_positive(&lambda);
 
     // Image side: an MLP on the (synthetic) ResNet-style embeddings.

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example crowdsourcing`
 
+use snorkel::core::label_model::LabelModel;
 use snorkel::core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::datasets::{crowd, TaskConfig};
 use snorkel::disc::metrics::accuracy;
@@ -25,7 +26,7 @@ fn main() {
     // Fit the generative model on worker votes (5-class Dawid-Skene).
     let lambda = task.label_matrix(&task.train);
     let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::MultiClass(5));
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
 
     // The learned per-worker accuracies track the simulation's truth.
     let implied = gm.implied_accuracies();
@@ -33,7 +34,7 @@ fn main() {
     println!("correlation(learned worker accuracy, true worker accuracy) = {r:.2}");
 
     // Train a tweet-text model on the probabilistic labels.
-    let targets = gm.marginals(&lambda);
+    let targets = gm.marginals(&lambda, None);
     let buckets = 1 << 14;
     let featurizer = TextFeaturizer::with_buckets(buckets);
     let train_ids: Vec<_> = task.train.iter().map(|&r| task.candidates[r]).collect();

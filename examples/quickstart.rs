@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use snorkel::core::label_model::LabelModel;
 use snorkel::core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::disc::{LogRegConfig, LogisticRegression, TextFeaturizer};
 use snorkel::lf::{lf, BoxedLf, KeywordBetweenLf, LfExecutor};
@@ -62,7 +63,7 @@ fn main() {
         lambda.label_density()
     );
     let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary);
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
     let soft = gm.prob_positive(&lambda);
     for (i, p) in soft.iter().enumerate() {
         let view = corpus.candidate(candidates[i]);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full Snorkel flow from raw text to
 //! trained discriminative model, on every task type.
 
+use snorkel::core::label_model::LabelModel;
 use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::core::optimizer::{choose_strategy, ModelingStrategy, OptimizerConfig};
 use snorkel::core::pipeline::{Pipeline, PipelineConfig};
@@ -31,7 +32,7 @@ fn cdr_end_to_end_beats_majority_vote_and_chance() {
     let gold_test = task.gold_of(&task.test);
 
     let mut gm = GenerativeModel::new(lambda_train.num_lfs(), LabelScheme::Binary);
-    gm.fit(&lambda_train, &uniform_cfg());
+    gm.fit(&lambda_train, None, &uniform_cfg());
 
     // Generative predictions must beat the unweighted majority vote.
     let mv = snorkel::core::vote::majority_vote(&lambda_test);
@@ -79,7 +80,7 @@ fn disc_model_extends_recall_beyond_lfs() {
     let gold_test = task.gold_of(&task.test);
 
     let mut gm = GenerativeModel::new(lambda_train.num_lfs(), LabelScheme::Binary);
-    gm.fit(&lambda_train, &uniform_cfg());
+    gm.fit(&lambda_train, None, &uniform_cfg());
 
     // Generative recall under the appendix A.5 convention: rows with no
     // votes get label 0, counted as negative.
@@ -175,7 +176,7 @@ fn crowd_five_class_flow() {
     assert_eq!(lambda.cardinality(), 5);
 
     let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::MultiClass(5));
-    gm.fit(&lambda, &uniform_cfg());
+    gm.fit(&lambda, None, &uniform_cfg());
 
     // The generative model must beat the raw majority vote of workers.
     let gold_train = task.gold_of(&task.train);
@@ -202,7 +203,7 @@ fn radiology_cross_modal_flow() {
     });
     let lambda = task.label_matrix(&task.train);
     let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary);
-    gm.fit(&lambda, &uniform_cfg());
+    gm.fit(&lambda, None, &uniform_cfg());
     let soft = gm.prob_positive(&lambda);
 
     let cfg = MlpConfig {

@@ -2,7 +2,12 @@
 //! and adversarial inputs — empty matrices, all-abstain suites,
 //! adversarial LFs, single-class corpora, and duplicate-heavy suites.
 
-use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, Scaleout, TrainConfig};
+#[path = "../crates/core/tests/support/identity_plan.rs"]
+mod identity_plan;
+
+use identity_plan::identity_plan;
+use snorkel::core::label_model::LabelModel;
+use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::core::pipeline::{run_pipeline, Pipeline, PipelineConfig};
 use snorkel::core::structure::{learn_structure, StructureConfig};
 use snorkel::core::vote::majority_vote;
@@ -38,7 +43,7 @@ fn adversarial_lf_is_downweighted() {
     // the adversary must be the smallest.
     let (lambda, _) = heterogeneous_matrix(3000, &[0.85, 0.85, 0.8, 0.15], 0.6, 99);
     let mut gm = GenerativeModel::new(4, LabelScheme::Binary);
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
     let w = gm.accuracy_weights();
     assert!(
         w[3] < w[0] && w[3] < w[1] && w[3] < w[2],
@@ -93,7 +98,7 @@ fn duplicate_heavy_suite_stays_stable() {
         .flat_map(|a| ((a + 1)..10).map(move |b2| (a, b2)))
         .collect();
     let mut gm = GenerativeModel::new(12, LabelScheme::Binary).with_correlations(&pairs);
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
     assert!(gm.accuracy_weights().iter().all(|w| w.is_finite()));
     assert!(gm.correlation_weights().iter().all(|w| w.is_finite()));
     let probs = gm.prob_positive(&lambda);
@@ -131,7 +136,7 @@ fn class_balance_variants_all_train() {
             class_balance: balance,
             ..TrainConfig::default()
         };
-        gm.fit(&lambda, &cfg);
+        gm.fit(&lambda, None, &cfg);
         assert!(gm.accuracy_weights().iter().all(|w| w.is_finite()));
         let prior = gm.implied_class_prior();
         assert!((prior.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -144,41 +149,37 @@ fn class_balance_variants_all_train() {
 // bit under fixed weights, same optimum (≤1e-9) after fitting.
 // ---------------------------------------------------------------------
 
-/// Fit the same model through the row-wise and the sharded path and
-/// assert both degrade identically: fitted marginals within `1e-9`, and
-/// the sharded *inference* of the row-wise model bit-identical.
+/// Fit the same model through the identity plan (the row-wise walk) and
+/// the sharded plan and assert both degrade identically: fitted
+/// marginals within `1e-9`, and the sharded *inference* of the
+/// identity-plan model bit-identical.
 fn assert_sharded_degrades_identically(lambda: &LabelMatrix, shards: usize) {
     let scheme = LabelScheme::from_cardinality(lambda.cardinality());
     // The convergence test's gradient threshold scales with the row
     // count; on adversarial shapes with near-zero-coverage LFs the
     // default tol leaves those LFs' weights loosely pinned, so drive
     // both paths to the arithmetic noise floor before comparing.
-    let rw_cfg = TrainConfig {
-        scaleout: Scaleout::RowWise,
+    let cfg = TrainConfig {
         tol: 1e-15,
         ..TrainConfig::default()
     };
-    let sh_cfg = TrainConfig {
-        scaleout: Scaleout::Sharded { shards },
-        tol: 1e-15,
-        ..TrainConfig::default()
-    };
+    let identity = identity_plan(lambda);
+    let plan = ShardedMatrix::build(lambda, shards);
     let mut dense = GenerativeModel::new(lambda.num_lfs(), scheme);
-    dense.fit(lambda, &rw_cfg);
+    dense.fit(lambda, Some(&identity), &cfg);
     let mut sharded = GenerativeModel::new(lambda.num_lfs(), scheme);
-    sharded.fit(lambda, &sh_cfg);
+    sharded.fit(lambda, Some(&plan), &cfg);
 
     // Inference path: bit-identical under the same weights.
-    let plan = ShardedMatrix::build(lambda, shards);
-    let reference = dense.marginals_rowwise(lambda);
+    let reference = dense.marginals(lambda, Some(&identity));
     assert_eq!(
-        dense.marginals_with(lambda, &plan),
+        dense.marginals(lambda, Some(&plan)),
         reference,
         "sharded marginals must be bit-identical to the dense path"
     );
 
     // Training path: same optimum, and everything stays finite.
-    let fitted = sharded.marginals_rowwise(lambda);
+    let fitted = sharded.marginals(lambda, Some(&identity));
     for (r, (a, b)) in reference.iter().zip(&fitted).enumerate() {
         for (pa, pb) in a.iter().zip(b) {
             assert!(pa.is_finite() && pb.is_finite(), "row {r} not finite");
@@ -268,5 +269,5 @@ fn wrong_arity_class_balance_panics() {
         class_balance: ClassBalance::Fixed(vec![0.2, 0.3, 0.5]),
         ..TrainConfig::default()
     };
-    gm.fit(&lambda, &cfg);
+    gm.fit(&lambda, None, &cfg);
 }

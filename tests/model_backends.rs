@@ -39,11 +39,11 @@ fn moment_marginals_within_5e2_of_exact() {
     let cfg = TrainConfig::default();
 
     let mut exact = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-    exact.fit(&lambda, &cfg);
+    exact.fit(&lambda, None, &cfg);
     let mut moment = MomentModel::new(SUITE.len(), LabelScheme::Binary);
     moment.fit(&lambda, None, &cfg);
 
-    let reference = exact.marginals(&lambda);
+    let reference = exact.marginals(&lambda, None);
     let approx = LabelModel::marginals(&moment, &lambda, None);
     let mut sup = 0.0f64;
     let mut mean = 0.0f64;
@@ -78,7 +78,7 @@ fn moment_fit_is_10x_faster_than_newton_at_100k() {
 
     let t0 = Instant::now();
     let mut exact = GenerativeModel::new(n, LabelScheme::Binary);
-    exact.fit_with(&lambda, &plan, &cfg);
+    exact.fit(&lambda, Some(&plan), &cfg);
     let exact_time = t0.elapsed();
 
     let t1 = Instant::now();

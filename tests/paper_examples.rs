@@ -1,5 +1,6 @@
 //! The paper's worked examples as executable tests.
 
+use snorkel::core::label_model::LabelModel;
 use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::datasets::synthetic::heterogeneous_matrix;
 use snorkel::lf::{lf, KeywordBetweenLf, LfExecutor};
@@ -16,7 +17,7 @@ fn example_1_1_lineage() {
     // accuracies 0.9 / 0.6 / 0.75.
     let (lambda, _) = heterogeneous_matrix(4000, &[0.9, 0.6, 0.75], 0.7, 1);
     let mut gm = GenerativeModel::new(3, LabelScheme::Binary);
-    gm.fit(&lambda, &TrainConfig::default());
+    gm.fit(&lambda, None, &TrainConfig::default());
 
     // Conflict: source 0 says +1, source 1 says −1.
     let post = gm.posterior(&[0, 1], &[1, -1]);
@@ -105,13 +106,13 @@ fn example_3_1_catastrophic_correlations() {
     };
 
     let mut indep = GenerativeModel::new(10, LabelScheme::Binary);
-    indep.fit(&lambda, &cfg);
+    indep.fit(&lambda, None, &cfg);
 
     let pairs: Vec<(usize, usize)> = (0..5)
         .flat_map(|a| ((a + 1)..5).map(move |b2| (a, b2)))
         .collect();
     let mut corr = GenerativeModel::new(10, LabelScheme::Binary).with_correlations(&pairs);
-    corr.fit(&lambda, &cfg);
+    corr.fit(&lambda, None, &cfg);
 
     // Under the correlated model, the good independent LFs must carry
     // more total weight than the whole 50%-accurate block.
