@@ -1,4 +1,5 @@
-//! The allocation-free read path for the batched binary verbs.
+//! The read path every read verb on both wire planes answers through,
+//! allocation-free for the batched binary verbs.
 //!
 //! At deployment scale the server answers the same small family of
 //! `OP_MARGINAL` / `OP_PREDICT` requests millions of times, and the
@@ -21,9 +22,13 @@
 //!   validates (same error strings, property-tested) but write into
 //!   the scratch arenas instead of fresh `Vec`s.
 //! * [`compute_marginal`] / [`compute_predict`] — the batch cores both
-//!   wire planes route through. Replies are bit-identical to the
-//!   allocating path: every `*_into` kernel they call replicates its
-//!   allocating counterpart's float-op sequence exactly.
+//!   wire planes route through (a text `MARGINAL` or `APPLY` is a
+//!   one-row marginal batch, a text `PREDICT` a one-row `OP_PREDICT`
+//!   payload). Replies are bit-identical to the allocating kernels,
+//!   which wrap the `*_into` kernels called here.
+//! * `compute_predict_candidate` / `compute_majority` — the
+//!   `PREDICT_TEXT` row and `APPLY`'s stale-suite majority-vote
+//!   fallback, on the same scratch and kernels.
 //!
 //! The zero-allocation claim is enforced, not aspirational:
 //! `tests/no_alloc_read_path.rs` runs the steady-state batch path
@@ -34,9 +39,10 @@
 use std::sync::Mutex;
 
 use snorkel_arena::ScratchVec;
+use snorkel_context::CandidateView;
 use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
 use snorkel_core::model::LabelScheme;
-use snorkel_incr::IncrementalSession;
+use snorkel_incr::{DiscState, IncrementalSession};
 use snorkel_lf::Vote;
 use snorkel_linalg::SparseVec;
 
@@ -283,9 +289,9 @@ impl ReadScratch {
     }
 
     /// Load one in-memory vote row as if a one-row binary batch had
-    /// been decoded — how the text `MARGINAL` handler routes through
-    /// the same [`compute_marginal`] core (and the same memo) as the
-    /// binary plane.
+    /// been decoded — how the text `MARGINAL` and `APPLY` handlers route
+    /// through the same [`compute_marginal`] core (and the same memo) as
+    /// the binary plane.
     pub fn set_vote_row(&mut self, cols: &[u32], votes: &[Vote]) {
         self.cols.reset();
         self.votes.reset();
@@ -390,7 +396,11 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
     Ok(n)
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Recover a lock even if a previous holder panicked — the server keeps
+/// serving (state mutations happen through `&mut` methods that either
+/// complete or panic before the swap, so a poisoned lock's data is the
+/// last consistent state).
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -520,9 +530,7 @@ pub fn compute_predict(
     payload: &[u8],
     scratch: &mut ReadScratch,
 ) -> Result<PredictOutcome, String> {
-    let Some(disc) = session.disc() else {
-        return Err("no distilled model (enable distillation and REFRESH)".into());
-    };
+    let disc = serving_disc(session)?;
     let width = disc.model.num_classes();
     let dim = disc.model.dim();
     let ReadScratch {
@@ -553,6 +561,53 @@ pub fn compute_predict(
         width,
         disc_gen: disc.generation,
     })
+}
+
+/// Distilled-model posterior of one transient candidate
+/// (`PREDICT_TEXT`): featurized by the serving model's own featurizer
+/// and scored through the same `predict_proba_into` kernel as
+/// [`compute_predict`], into `scratch.probs` as a one-row batch.
+pub(crate) fn compute_predict_candidate(
+    session: &IncrementalSession,
+    candidate: &CandidateView<'_>,
+    scratch: &mut ReadScratch,
+) -> Result<PredictOutcome, String> {
+    let disc = serving_disc(session)?;
+    let width = disc.model.num_classes();
+    let x = disc.config.featurizer.featurize(candidate);
+    scratch.probs.reset();
+    scratch.probs.resize(width, 0.0);
+    disc.model.predict_proba_into(&x, &mut scratch.probs);
+    Ok(PredictOutcome {
+        rows: 1,
+        width,
+        disc_gen: disc.generation,
+    })
+}
+
+/// The distilled model `PREDICT` verbs are scored by, or the refusal
+/// they all answer without one.
+fn serving_disc(session: &IncrementalSession) -> Result<&DiscState, String> {
+    session
+        .disc()
+        .ok_or_else(|| "no distilled model (enable distillation and REFRESH)".to_string())
+}
+
+/// Majority-vote posterior of the one vote row [`ReadScratch::set_vote_row`]
+/// loaded, into `scratch.probs` without touching the memo: `APPLY`'s
+/// answer while the live suite differs from the layout the model was
+/// fitted on, which the memo's signatures index. Returns the width.
+pub(crate) fn compute_majority(session: &IncrementalSession, scratch: &mut ReadScratch) -> usize {
+    let scheme = LabelScheme::from_cardinality(session.config().executor.cardinality);
+    let width = scheme.num_classes();
+    scratch.probs.reset();
+    scratch.probs.resize(width, 0.0);
+    MajorityVoteModel::new(session.num_lfs(), scheme).posterior_into(
+        &scratch.cols,
+        &scratch.votes,
+        &mut scratch.probs,
+    );
+    width
 }
 
 #[cfg(test)]

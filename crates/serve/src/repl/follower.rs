@@ -4,8 +4,9 @@
 //! thread drives.
 //!
 //! This module is deliberately just the wire client; *applying* the
-//! records it yields (under the follower's write lock, through
-//! [`apply_op`](crate::repl::apply_op)) lives with the server, so the
+//! records it yields (through [`prepare_op`](crate::repl::prepare_op)
+//! and, under the follower's write lock,
+//! [`apply_prepared`](crate::repl::apply_prepared)) lives with the server, so the
 //! session entry points stay identical between leader and follower.
 
 use std::io;

@@ -13,7 +13,9 @@
 //! * this module — [`apply_op`] and friends: the *single* code path
 //!   through which a mutation reaches an [`IncrementalSession`], used
 //!   identically by the leader's request handlers, WAL recovery at
-//!   boot, and the follower's live tail. One code path is what makes
+//!   boot, and the follower's live tail (which runs `apply_op`'s two
+//!   halves, [`prepare_op`] and [`apply_prepared`], around its write
+//!   lock). One code path is what makes
 //!   "replica marginals are bit-identical" a structural property
 //!   instead of a hope.
 //!
@@ -63,21 +65,33 @@ impl PreparedIngest {
     }
 }
 
+/// Tokenize `text` and check that both token-range spans fit it — the
+/// one span check behind `APPLY`, `PREDICT_TEXT` and `INGEST`, so every
+/// verb (and every replayed ingest) refuses a bad span with the same
+/// message.
+pub fn tokenize_spans(
+    span1: (usize, usize),
+    span2: (usize, usize),
+    text: &str,
+) -> Result<Vec<Token>, String> {
+    let tokens = snorkel_nlp::tokenize(text);
+    for (lo, hi) in [span1, span2] {
+        if lo >= hi || hi > tokens.len() {
+            return Err(format!(
+                "span {lo}..{hi} invalid for {} tokens",
+                tokens.len()
+            ));
+        }
+    }
+    Ok(tokens)
+}
+
 /// Tokenize and span-validate an ingest batch. This is the expensive,
-/// lock-free half of an ingest; errors reproduce the serving layer's
-/// exact messages so leader and replayed refusals read identically.
+/// lock-free half of an ingest.
 pub fn prepare_ingest(rows: &[IngestRow]) -> Result<PreparedIngest, String> {
     let mut prepared = Vec::with_capacity(rows.len());
     for (span1, span2, text) in rows {
-        let tokens = snorkel_nlp::tokenize(text);
-        for (lo, hi) in [*span1, *span2] {
-            if lo >= hi || hi > tokens.len() {
-                return Err(format!(
-                    "span {lo}..{hi} invalid for {} tokens",
-                    tokens.len()
-                ));
-            }
-        }
+        let tokens = tokenize_spans(*span1, *span2, text)?;
         prepared.push((*span1, *span2, text.clone(), tokens));
     }
     Ok(PreparedIngest { rows: prepared })
@@ -146,49 +160,56 @@ pub fn apply_refresh(
     Ok((report, session.disc_training_set()))
 }
 
-/// What one replayed op did to the session.
-pub enum Applied {
-    /// A refresh ran; `training` is `Some` when a distilled-model
-    /// retrain is due (run it outside any lock, then
-    /// [`install_disc`](IncrementalSession::install_disc)).
-    Refresh {
-        /// The refresh's cache/fit report (boxed: it dwarfs the other
-        /// variants).
-        report: Box<RefreshReport>,
-        /// Pending distilled-model training work, if configured.
-        training: Option<DiscTrainingSet>,
-    },
-    /// An ingest batch was absorbed.
-    Ingest {
-        /// The streaming plane's ingest report.
-        report: IngestReport,
-    },
+/// A logged op with its lock-free work done (an ingest batch tokenized
+/// and span-checked), awaiting the write lock. Produced by
+/// [`prepare_op`], consumed by [`apply_prepared`].
+pub enum PreparedOp<'a> {
+    /// A suite edit (or plain refresh) to apply.
+    Refresh(Option<&'a SuiteEdit>),
+    /// A prepared ingest batch.
+    Ingest(PreparedIngest),
     /// A seal: no state change.
     Seal,
 }
 
-/// Replay one logged op through the same session entry points the
-/// leader's handlers use. `generation` mirrors the server generation
-/// and must be compared against the record's `gen_after` afterwards —
-/// a mismatch is divergence.
+/// The lock-free half of a replay: everything [`apply_prepared`] needs
+/// that does not read the session.
+pub fn prepare_op(op: &Op) -> Result<PreparedOp<'_>, String> {
+    Ok(match op {
+        Op::Refresh(edit) => PreparedOp::Refresh(edit.as_ref()),
+        Op::Ingest(rows) => PreparedOp::Ingest(prepare_ingest(rows)?),
+        Op::Seal => PreparedOp::Seal,
+    })
+}
+
+/// The write-lock half of a replay, through the same session entry
+/// points the leader's handlers use. Returns the distilled-model
+/// retrain a refresh left due, if any: run it outside any lock, then
+/// [`install_disc`](IncrementalSession::install_disc).
+pub fn apply_prepared(
+    session: &mut IncrementalSession,
+    generation: &mut u64,
+    op: PreparedOp<'_>,
+) -> Result<Option<DiscTrainingSet>, String> {
+    match op {
+        PreparedOp::Refresh(edit) => Ok(apply_refresh(session, generation, edit)?.1),
+        PreparedOp::Ingest(batch) => {
+            apply_ingest(session, generation, batch);
+            Ok(None)
+        }
+        PreparedOp::Seal => Ok(None),
+    }
+}
+
+/// Replay one logged op: [`prepare_op`] then [`apply_prepared`], the two
+/// halves a tailing follower runs on either side of taking its write
+/// lock. `generation` mirrors the server generation and must be
+/// compared against the record's `gen_after` afterwards — a mismatch is
+/// divergence.
 pub fn apply_op(
     session: &mut IncrementalSession,
     generation: &mut u64,
     op: &Op,
-) -> Result<Applied, String> {
-    match op {
-        Op::Refresh(edit) => {
-            let (report, training) = apply_refresh(session, generation, edit.as_ref())?;
-            Ok(Applied::Refresh {
-                report: Box::new(report),
-                training,
-            })
-        }
-        Op::Ingest(rows) => {
-            let batch = prepare_ingest(rows)?;
-            let report = apply_ingest(session, generation, batch);
-            Ok(Applied::Ingest { report })
-        }
-        Op::Seal => Ok(Applied::Seal),
-    }
+) -> Result<Option<DiscTrainingSet>, String> {
+    apply_prepared(session, generation, prepare_op(op)?)
 }

@@ -35,11 +35,15 @@
 //! [`crate::frame::FRAME_MAGIC`] starts a length-prefixed
 //! binary frame (see [`crate::frame`]), anything else is a text line.
 //!
-//! `MARGINAL` is served through a pattern-memo on top of the model
-//! posterior: deployment traffic collapses onto few distinct vote
-//! signatures (the same observation the `PatternIndex` exploits for
-//! training), so each signature's posterior is computed once per model
-//! generation and then served from the memo. Batched binary requests
+//! Each read verb has one core that both planes call once the request
+//! is decoded into the worker's [`ReadScratch`]; the core computes
+//! through [`crate::hotpath`], so the planes differ only in decode and
+//! reply encoding. `MARGINAL` (and `APPLY`'s vote row) is served
+//! through a pattern-memo on top of the model posterior: deployment
+//! traffic collapses onto few distinct vote signatures (the same
+//! observation the `PatternIndex` exploits for training), so each
+//! signature's posterior is computed once per model generation and
+//! then served from the memo. Batched binary requests
 //! amortize further: one read-lock acquisition and one memo pass cover
 //! the whole batch.
 //!
@@ -59,15 +63,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snorkel_context::Corpus;
-use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
-use snorkel_core::model::LabelScheme;
 use snorkel_incr::IncrementalSession;
 use snorkel_lf::Vote;
 use snorkel_obs::{trace_level, Counter, Gauge, Histogram, TraceLevel, TraceRing};
 use snorkel_stream::IngestGate;
 
 use crate::frame::{self, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES};
-use crate::hotpath::{self, ReadScratch, SigMemo};
+use crate::hotpath::{self, lock_unpoisoned, PredictOutcome, ReadScratch, SigMemo};
 use crate::protocol::{format_probs, parse_request, Request, SuiteEdit};
 use crate::repl::follower::{Backoff, ConnectError, TailConn, TailEvent};
 use crate::repl::leader::OpLog;
@@ -1026,12 +1028,12 @@ fn handle_text_line(
             let start = Instant::now();
             if matches!(req, Request::Shutdown) {
                 out.extend_from_slice(b"OK bye\n");
-                record_request(vm, verb, start);
+                record_latency(&vm.latency, verb, start);
                 trigger_shutdown(inner);
                 return false;
             }
             let response = handle_request(inner, req, scratch);
-            record_request(vm, verb, start);
+            record_latency(&vm.latency, verb, start);
             if response.starts_with("ERR") {
                 vm.errors.inc();
             }
@@ -1097,25 +1099,10 @@ fn handle_frame(
             Ok(rows) => {
                 fm.items.add(rows as u64);
                 inner.obs.batch_size.record_ns(rows as u64);
-                inner.queries.fetch_add(rows as u64, Ordering::Relaxed);
-                let state = read_state(inner);
-                match hotpath::compute_marginal(
-                    &state.session,
-                    state.generation,
-                    &inner.memo,
-                    scratch,
-                ) {
+                match marginal_core(inner, rows, scratch) {
                     Err(e) => Err((e, false)),
-                    Ok(outcome) => {
-                        inner
-                            .memo_hits
-                            .fetch_add(outcome.memo_hits, Ordering::Relaxed);
-                        frame::encode_marginal_reply_flat_into(
-                            state.generation,
-                            scratch.probs(),
-                            outcome.width,
-                            out,
-                        );
+                    Ok((gen, width)) => {
+                        frame::encode_marginal_reply_flat_into(gen, scratch.probs(), width, out);
                         Ok(())
                     }
                 }
@@ -1126,13 +1113,11 @@ fn handle_frame(
             Ok(rows) => {
                 fm.items.add(rows as u64);
                 inner.obs.batch_size.record_ns(rows as u64);
-                inner.queries.fetch_add(rows as u64, Ordering::Relaxed);
-                let state = read_state(inner);
-                match hotpath::compute_predict(&state.session, payload, scratch) {
+                match predict_core(inner, payload, rows, scratch) {
                     Err(e) => Err((e, false)),
-                    Ok(outcome) => {
+                    Ok((gen, outcome)) => {
                         frame::encode_predict_reply_flat_into(
-                            state.generation,
+                            gen,
                             outcome.disc_gen,
                             scratch.probs(),
                             outcome.width,
@@ -1190,31 +1175,12 @@ fn handle_frame(
         fm.errors.inc();
         out.extend_from_slice(&frame::encode_err(&e));
     }
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    fm.latency.record_ns(ns);
-    if trace_level() >= TraceLevel::Info {
-        TraceRing::global().record(name, ns);
-    }
+    record_latency(&fm.latency, name, start);
     granted
 }
 
-/// Recover a lock even if a previous holder panicked — the server keeps
-/// serving (state mutations happen through `&mut` methods that either
-/// complete or panic before the swap, so a poisoned lock's data is the
-/// last consistent state).
-fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn read_unpoisoned<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockReadGuard<'a, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write_unpoisoned<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Take the state read lock, feeding `snorkel_serve_lock_wait_seconds`.
+/// Take the state read lock, feeding `snorkel_serve_lock_wait_seconds`
+/// (and recovering a poisoned lock, as [`lock_unpoisoned`] does).
 /// The histogram records *waits*: an uncontended `try_read` acquisition
 /// records nothing and never touches the clock, keeping the `MARGINAL`
 /// hot path cheap; only a contended acquisition (which is already
@@ -1225,7 +1191,7 @@ fn read_state<'a>(inner: &'a Inner) -> std::sync::RwLockReadGuard<'a, ServeState
         Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
         Err(std::sync::TryLockError::WouldBlock) => {
             let start = Instant::now();
-            let g = read_unpoisoned(&inner.state);
+            let g = inner.state.read().unwrap_or_else(|e| e.into_inner());
             inner.obs.lock_wait_read.record(start.elapsed());
             g
         }
@@ -1240,7 +1206,7 @@ fn write_state<'a>(inner: &'a Inner) -> std::sync::RwLockWriteGuard<'a, ServeSta
         Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
         Err(std::sync::TryLockError::WouldBlock) => {
             let start = Instant::now();
-            let g = write_unpoisoned(&inner.state);
+            let g = inner.state.write().unwrap_or_else(|e| e.into_inner());
             inner.obs.lock_wait_write.record(start.elapsed());
             g
         }
@@ -1340,7 +1306,7 @@ fn recover_wal(
         // what a live append would have.
         let body = wal::encode_body(rec.lsn, rec.gen_after, &rec.op);
         if rec.lsn > mark.applied_lsn {
-            let outcome = repl::apply_op(session, generation, &rec.op).map_err(|e| {
+            let training = repl::apply_op(session, generation, &rec.op).map_err(|e| {
                 std::io::Error::other(format!(
                     "WAL {} replay failed at lsn {}: {e}",
                     path.display(),
@@ -1359,11 +1325,7 @@ fn recover_wal(
             }
             // Recovery is synchronous — no readers yet — so a due disc
             // retrain runs inline instead of through the phased path.
-            if let repl::Applied::Refresh {
-                training: Some(set),
-                ..
-            } = outcome
-            {
+            if let Some(set) = training {
                 let (disc_state, _) = set.train();
                 session.install_disc(disc_state);
             }
@@ -1532,10 +1494,7 @@ fn follower_loop(inner: &Arc<Inner>) {
 fn apply_replicated(inner: &Inner, repl: &Repl, body: &[u8]) -> Result<bool, String> {
     let rec = wal::Record::decode_body(body).map_err(|e| format!("bad pushed record: {e}"))?;
     // Tokenize outside the lock, exactly like the leader's ingest path.
-    let prepared = match &rec.op {
-        wal::Op::Ingest(rows) => Some(repl::prepare_ingest(rows)?),
-        _ => None,
-    };
+    let prepared = repl::prepare_op(&rec.op)?;
     let mut state = write_state(inner);
     if inner.shutdown.load(Ordering::SeqCst) || repl.tail_stop.load(Ordering::SeqCst) {
         return Ok(false);
@@ -1552,20 +1511,11 @@ fn apply_replicated(inner: &Inner, repl: &Repl, body: &[u8]) -> Result<bool, Str
         ));
     }
     let st = &mut *state;
-    let training = match &rec.op {
-        wal::Op::Refresh(edit) => {
-            let (_, training) =
-                repl::apply_refresh(&mut st.session, &mut st.generation, edit.as_ref())?;
-            inner.refreshes.fetch_add(1, Ordering::Relaxed);
-            training
-        }
-        wal::Op::Ingest(_) => {
-            let batch = prepared.expect("prepared above for Op::Ingest");
-            repl::apply_ingest(&mut st.session, &mut st.generation, batch);
-            None
-        }
-        wal::Op::Seal => None,
-    };
+    let is_refresh = matches!(prepared, repl::PreparedOp::Refresh(_));
+    let training = repl::apply_prepared(&mut st.session, &mut st.generation, prepared)?;
+    if is_refresh {
+        inner.refreshes.fetch_add(1, Ordering::Relaxed);
+    }
     if st.generation != rec.gen_after {
         return Err(format!(
             "divergence at lsn {}: reached generation {} but the leader logged {}",
@@ -1604,25 +1554,48 @@ fn handle_promote(inner: &Inner) -> String {
     format!("OK role=leader lsn={}", st.applied_lsn)
 }
 
-/// Close out one request's timing: latency histogram plus a trace-ring
-/// entry for `SLOWLOG` (unless tracing is off via `SNORKEL_OBS_TRACE`).
+/// Close out one text request's or binary frame's timing: its latency
+/// histogram plus a trace-ring entry for `SLOWLOG` (unless tracing is
+/// off via `SNORKEL_OBS_TRACE`).
 #[inline]
-fn record_request(vm: &VerbMetrics, verb: &'static str, start: Instant) {
+fn record_latency(latency: &Histogram, name: &'static str, start: Instant) {
     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    vm.latency.record_ns(ns);
+    latency.record_ns(ns);
     if trace_level() >= TraceLevel::Info {
-        TraceRing::global().record(verb, ns);
+        TraceRing::global().record(name, ns);
     }
 }
 
 fn handle_request(inner: &Inner, req: Request, scratch: &mut ReadScratch) -> String {
     match req {
         Request::Ping => "OK pong".into(),
-        Request::Marginal { cols, votes } => handle_marginal(inner, cols, votes, scratch),
-        Request::Apply { span1, span2, text } => handle_apply(inner, span1, span2, &text),
-        Request::Predict { features } => handle_predict(inner, &features),
+        Request::Marginal { cols, votes } => {
+            scratch.set_vote_row(&cols, &votes);
+            match marginal_core(inner, 1, scratch) {
+                Ok((gen, width)) => {
+                    format!("OK gen={gen} p={}", format_probs(&scratch.probs()[..width]))
+                }
+                Err(e) => format!("ERR {e}"),
+            }
+        }
+        Request::Apply { span1, span2, text } => handle_apply(inner, span1, span2, &text, scratch),
+        Request::Predict { features } => {
+            // A one-row `OP_PREDICT` batch: the binary plane's own
+            // decode and core answer it.
+            let request = frame::encode_predict(std::slice::from_ref(&features));
+            let payload = &request[FRAME_HEADER_BYTES..];
+            let result = hotpath::decode_predict(payload, scratch)
+                .and_then(|rows| predict_core(inner, payload, rows, scratch));
+            predict_reply(result, scratch)
+        }
         Request::PredictText { span1, span2, text } => {
-            handle_predict_text(inner, span1, span2, &text)
+            inner.queries.fetch_add(1, Ordering::Relaxed);
+            let result = transient_candidate(span1, span2, &text).and_then(|(corpus, cand)| {
+                let state = read_state(inner);
+                hotpath::compute_predict_candidate(&state.session, &corpus.candidate(cand), scratch)
+                    .map(|outcome| (state.generation, outcome))
+            });
+            predict_reply(result, scratch)
         }
         Request::Ingest { rows } => match handle_ingest_core(inner, &rows) {
             Ok(s) => format!(
@@ -1746,84 +1719,67 @@ fn handle_slowlog(n: usize) -> String {
     out
 }
 
-/// Validate a vote row against the scheme and compute its posterior
-/// under the current model (majority vote when no model is trained —
-/// mirroring the session's MV labeling path).
-fn posterior_for(
-    session: &IncrementalSession,
-    cols: &[u32],
-    votes: &[Vote],
-) -> Result<Vec<f64>, String> {
-    let cardinality = session.config().executor.cardinality;
-    let scheme = LabelScheme::from_cardinality(cardinality);
-    if let Some(&v) = votes
-        .iter()
-        .find(|&&v| !snorkel_matrix::is_legal_vote(cardinality, v))
-    {
-        return Err(format!("vote {v} illegal for cardinality {cardinality}"));
-    }
-    match session.model() {
-        Some(model) => {
-            if let Some(&c) = cols.iter().find(|&&c| (c as usize) >= model.num_lfs()) {
-                return Err(format!(
-                    "column {c} out of range (model covers {} LFs)",
-                    model.num_lfs()
-                ));
-            }
-            Ok(model.posterior(cols, votes))
-        }
-        None => Ok(MajorityVoteModel::new(session.num_lfs(), scheme).posterior(cols, votes)),
-    }
+/// The `MARGINAL` core both planes call once the vote rows sit in
+/// `scratch`: count them on `STATS queries=`, take the read lock, and
+/// answer through [`memo_marginal`]. Returns the generation answered at
+/// and the posterior width (the rows are in `scratch.probs()`).
+fn marginal_core(
+    inner: &Inner,
+    rows: usize,
+    scratch: &mut ReadScratch,
+) -> Result<(u64, usize), String> {
+    inner.queries.fetch_add(rows as u64, Ordering::Relaxed);
+    let state = read_state(inner);
+    let width = memo_marginal(inner, &state, scratch)?;
+    Ok((state.generation, width))
 }
 
-/// Text `MARGINAL`: a batch of one through the same
-/// [`hotpath::compute_marginal`] core (and the same signature memo) as
-/// the binary plane, so the two planes answer bit-identically and warm
-/// each other's memo.
-fn handle_marginal(
+/// Posteriors of the vote rows in `scratch` through the signature memo
+/// ([`hotpath::compute_marginal`]) under the caller's read guard,
+/// counting memo hits on `STATS memo_hits=`. Returns the posterior
+/// width.
+fn memo_marginal(
     inner: &Inner,
-    cols: Vec<u32>,
-    votes: Vec<Vote>,
+    state: &ServeState,
     scratch: &mut ReadScratch,
-) -> String {
-    inner.queries.fetch_add(1, Ordering::Relaxed);
-    scratch.set_vote_row(&cols, &votes);
+) -> Result<usize, String> {
+    let outcome =
+        hotpath::compute_marginal(&state.session, state.generation, &inner.memo, scratch)?;
+    inner
+        .memo_hits
+        .fetch_add(outcome.memo_hits, Ordering::Relaxed);
+    Ok(outcome.width)
+}
+
+/// The `PREDICT` core both planes call once the feature rows are
+/// decoded into `scratch` (their names stay in `payload`): count them on
+/// `STATS queries=`, take the read lock, and score through
+/// [`hotpath::compute_predict`]. Returns the generation answered at.
+fn predict_core(
+    inner: &Inner,
+    payload: &[u8],
+    rows: usize,
+    scratch: &mut ReadScratch,
+) -> Result<(u64, PredictOutcome), String> {
+    inner.queries.fetch_add(rows as u64, Ordering::Relaxed);
     let state = read_state(inner);
-    match hotpath::compute_marginal(&state.session, state.generation, &inner.memo, scratch) {
-        Ok(outcome) => {
-            inner
-                .memo_hits
-                .fetch_add(outcome.memo_hits, Ordering::Relaxed);
-            format!(
-                "OK gen={} p={}",
-                state.generation,
-                format_probs(&scratch.probs()[..outcome.width])
-            )
-        }
+    let outcome = hotpath::compute_predict(&state.session, payload, scratch)?;
+    Ok((state.generation, outcome))
+}
+
+/// The text reply to `PREDICT` and `PREDICT_TEXT`. The reply's
+/// `disc_gen=` says which refresh generation the serving model was
+/// trained on (it can lag `gen=` while a retrain runs — reads never
+/// wait for one).
+fn predict_reply(result: Result<(u64, PredictOutcome), String>, scratch: &ReadScratch) -> String {
+    match result {
+        Ok((gen, outcome)) => format!(
+            "OK gen={gen} disc_gen={} p={}",
+            outcome.disc_gen,
+            format_probs(&scratch.probs()[..outcome.width])
+        ),
         Err(e) => format!("ERR {e}"),
     }
-}
-
-/// Distilled-model posteriors for a batch of raw feature vectors under
-/// one state read-lock acquisition (the batched core of the text
-/// `PREDICT` and binary `OP_PREDICT` paths).
-fn predict_batch(inner: &Inner, rows: &[Vec<String>]) -> Result<(u64, u64, Vec<Vec<f64>>), String> {
-    inner
-        .queries
-        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-    let state = read_state(inner);
-    let Some(disc) = state.session.disc() else {
-        return Err("no distilled model (enable distillation and REFRESH)".into());
-    };
-    let probs = rows
-        .iter()
-        .map(|features| {
-            let x =
-                snorkel_disc::hash_features(features.iter().map(String::as_str), disc.model.dim());
-            disc.model.predict_proba(&x)
-        })
-        .collect();
-    Ok((state.generation, disc.generation, probs))
 }
 
 /// Build a transient two-span candidate in a scratch corpus (serving a
@@ -1834,15 +1790,7 @@ fn transient_candidate(
     span2: (usize, usize),
     text: &str,
 ) -> Result<(Corpus, snorkel_context::CandidateId), String> {
-    let tokens = snorkel_nlp::tokenize(text);
-    for (lo, hi) in [span1, span2] {
-        if lo >= hi || hi > tokens.len() {
-            return Err(format!(
-                "span {lo}..{hi} invalid for {} tokens",
-                tokens.len()
-            ));
-        }
-    }
+    let tokens = repl::tokenize_spans(span1, span2, text)?;
     let mut scratch = Corpus::new();
     let doc = scratch.add_document("probe");
     let sent = scratch.add_sentence(doc, text, tokens);
@@ -1852,90 +1800,54 @@ fn transient_candidate(
     Ok((scratch, cand))
 }
 
-fn handle_apply(inner: &Inner, span1: (usize, usize), span2: (usize, usize), text: &str) -> String {
+/// `APPLY`: run the live suite on a transient candidate and answer the
+/// posterior of its non-abstain votes through the `MARGINAL` memo, so an
+/// `APPLY` and a `MARGINAL` of the same signature share one entry.
+fn handle_apply(
+    inner: &Inner,
+    span1: (usize, usize),
+    span2: (usize, usize),
+    text: &str,
+    scratch: &mut ReadScratch,
+) -> String {
     inner.queries.fetch_add(1, Ordering::Relaxed);
-    let (scratch, cand) = match transient_candidate(span1, span2, text) {
+    let (corpus, cand) = match transient_candidate(span1, span2, text) {
         Ok(built) => built,
         Err(e) => return format!("ERR {e}"),
     };
 
     let state = read_state(inner);
-    let votes = state.session.apply_lfs(&scratch.candidate(cand));
-    let non_abstain: (Vec<u32>, Vec<Vote>) = votes
+    let votes = state.session.apply_lfs(&corpus.candidate(cand));
+    let (cols, non_abstain): (Vec<u32>, Vec<Vote>) = votes
         .iter()
         .enumerate()
         .filter(|(_, &v)| v != 0)
         .map(|(j, &v)| (j as u32, v))
         .unzip();
+    scratch.set_vote_row(&cols, &non_abstain);
     // The live suite can differ from the last-trained model's layout
-    // for any un-refreshed add/edit/remove; the model may only score
-    // votes whose column indexes refer to exactly the layout it was
-    // fitted on (an equal LF *count* is not enough — a remove+add of
-    // the same arity would silently misalign columns).
-    let model_ok = state.session.model().is_some() && state.session.suite_matches_last_refresh();
-    let p = if model_ok {
-        posterior_for(&state.session, &non_abstain.0, &non_abstain.1)
+    // for any un-refreshed add/edit/remove; the model (and the memo,
+    // whose signatures index that layout) may only score votes whose
+    // column indexes refer to exactly the layout it was fitted on (an
+    // equal LF *count* is not enough — a remove+add of the same arity
+    // would silently misalign columns). Otherwise: majority vote.
+    let width = if state.session.model().is_some() && state.session.suite_matches_last_refresh() {
+        memo_marginal(inner, &state, scratch)
     } else {
-        let scheme = LabelScheme::from_cardinality(state.session.config().executor.cardinality);
-        Ok(MajorityVoteModel::new(votes.len(), scheme).posterior(&non_abstain.0, &non_abstain.1))
+        Ok(hotpath::compute_majority(&state.session, scratch))
     };
-    match p {
-        Ok(p) => {
+    match width {
+        Ok(width) => {
             let vote_strs: Vec<String> = votes.iter().map(|v| v.to_string()).collect();
             format!(
                 "OK gen={} votes={} p={}",
                 state.generation,
                 vote_strs.join(","),
-                format_probs(&p)
+                format_probs(&scratch.probs()[..width])
             )
         }
         Err(e) => format!("ERR {e}"),
     }
-}
-
-/// Distilled-model posterior for raw (pre-hashed-name) features —
-/// answers for candidates with zero LF coverage. Runs entirely under
-/// the read lock; the reply's `disc_gen=` says which refresh generation
-/// the serving model was trained on (it can lag `gen=` while a retrain
-/// runs — reads never wait for one).
-fn handle_predict(inner: &Inner, features: &[String]) -> String {
-    let row = features.to_vec();
-    match predict_batch(inner, std::slice::from_ref(&row)) {
-        Ok((gen, disc_gen, probs)) => {
-            format!(
-                "OK gen={gen} disc_gen={disc_gen} p={}",
-                format_probs(&probs[0])
-            )
-        }
-        Err(e) => format!("ERR {e}"),
-    }
-}
-
-/// Featurize a transient two-span candidate (same grammar as `APPLY`)
-/// and answer from the distilled model.
-fn handle_predict_text(
-    inner: &Inner,
-    span1: (usize, usize),
-    span2: (usize, usize),
-    text: &str,
-) -> String {
-    inner.queries.fetch_add(1, Ordering::Relaxed);
-    let (scratch, cand) = match transient_candidate(span1, span2, text) {
-        Ok(built) => built,
-        Err(e) => return format!("ERR {e}"),
-    };
-
-    let state = read_state(inner);
-    let Some(disc) = state.session.disc() else {
-        return "ERR no distilled model (enable distillation and REFRESH)".into();
-    };
-    let x = disc.config.featurizer.featurize(&scratch.candidate(cand));
-    format!(
-        "OK gen={} disc_gen={} p={}",
-        state.generation,
-        disc.generation,
-        format_probs(&disc.model.predict_proba(&x))
-    )
 }
 
 /// The summary both planes' `INGEST` replies are built from.

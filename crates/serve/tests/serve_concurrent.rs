@@ -7,6 +7,10 @@
 //! * **no torn reads** — N concurrent clients hammer `MARGINAL` while
 //!   an LF edit lands mid-stream; every response must equal the pre- or
 //!   the post-edit posterior exactly, with the generation tag matching.
+//! * **one read path** — `APPLY` answers through the `MARGINAL` memo
+//!   (or by majority vote, outside it, for a suite edited since the
+//!   last refresh), and text `PREDICT` matches a batched `OP_PREDICT`
+//!   to the bit.
 
 mod common;
 
@@ -16,11 +20,14 @@ use std::time::Duration;
 
 use common::{wait_until, Deadline};
 use snorkel_context::{CandidateId, Corpus};
+use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
+use snorkel_core::model::LabelScheme;
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf};
 use snorkel_nlp::tokenize;
-use snorkel_serve::{Client, LabelServer, LfSpec, ServeConfig, Snapshot};
+use snorkel_serve::protocol::format_probs;
+use snorkel_serve::{BinReply, Client, FrameClient, LabelServer, LfSpec, ServeConfig, Snapshot};
 
 fn build_corpus(n: usize) -> Corpus {
     let mut corpus = Corpus::new();
@@ -315,6 +322,71 @@ fn stats_and_errors_are_well_formed() {
     server.shutdown().expect("clean shutdown");
 }
 
+fn memo_hits(client: &mut Client) -> u64 {
+    let stats = client.request("STATS").expect("stats");
+    field(&stats, "memo_hits").parse().expect("number")
+}
+
+#[test]
+fn apply_shares_the_marginal_memo() {
+    let c = Arc::new(AtomicUsize::new(0));
+    let server = LabelServer::start(primed_session(build_corpus(60), c), ServeConfig::default())
+        .expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // Only lf_causes fires: the non-abstain signature is `0:1`.
+    let applied = client
+        .request("APPLY 0 1 2 3 alpha1 causes beta2")
+        .expect("apply");
+    assert!(applied.starts_with("OK "), "{applied}");
+    assert_eq!(field(&applied, "votes"), "1,0,0", "{applied}");
+
+    let before = memo_hits(&mut client);
+    let marginal = client.request("MARGINAL 0:1").expect("marginal");
+    assert_eq!(
+        memo_hits(&mut client),
+        before + 1,
+        "APPLY memoized its signature for MARGINAL"
+    );
+    assert_eq!(field(&marginal, "gen"), field(&applied, "gen"));
+    assert_eq!(field(&marginal, "p"), field(&applied, "p"), "same bits");
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn apply_on_a_stale_suite_answers_majority_vote_outside_the_memo() {
+    let c = Arc::new(AtomicUsize::new(0));
+    let mut session = primed_session(build_corpus(60), c);
+    let model_p = session
+        .model()
+        .expect("refreshed session has a model")
+        .posterior(&[0], &[1]);
+    let mv_p = MajorityVoteModel::new(4, LabelScheme::Binary).posterior(&[0], &[1]);
+    assert_ne!(model_p, mv_p, "the two answers must be told apart");
+    // An LF added after the last refresh: the live suite no longer has
+    // the layout the model was fitted on.
+    let (lf, tag) = wire_lf("lf_mentions KEYWORD 1 -1 mentions");
+    session.add_lf_tagged(lf, tag);
+    let server = LabelServer::start(session, ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let applied = client
+        .request("APPLY 0 1 2 3 alpha1 causes beta2")
+        .expect("apply");
+    assert_eq!(field(&applied, "votes"), "1,0,0,0", "{applied}");
+    assert_eq!(field(&applied, "p"), format_probs(&mv_p), "{applied}");
+
+    let marginal = client.request("MARGINAL 0:1").expect("marginal");
+    assert_eq!(
+        field(&marginal, "p"),
+        format_probs(&model_p),
+        "the fallback left no majority vote in the memo"
+    );
+
+    server.shutdown().expect("clean shutdown");
+}
+
 /// The distillation test corpus: two cue verbs per class on the same
 /// rows (agreement makes LF accuracies identifiable without ground
 /// truth). Built twice — once to serve, once to thaw — and the
@@ -340,16 +412,19 @@ fn build_distill_corpus(n: usize) -> Corpus {
     corpus
 }
 
-#[test]
-fn predict_answers_zero_coverage_candidates_and_survives_kill_resume() {
+const DISTILL_SPECS: [&str; 4] = [
+    "lf_causes KEYWORD 1 1 causes",
+    "lf_induces KEYWORD 1 1 induces",
+    "lf_treats KEYWORD -1 -1 treats",
+    "lf_cures KEYWORD -1 -1 cures",
+];
+
+/// A session with distillation enabled over the distill corpus (see
+/// build_distill_corpus for why two LFs per class vote on the same
+/// rows), not yet refreshed. Returns its config too, for thawing.
+fn distill_session() -> (IncrementalSession, SessionConfig) {
     use snorkel_core::pipeline::DiscTrainerConfig;
 
-    let dir = std::env::temp_dir().join(format!("snorkel-predict-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let snap_path = dir.join("predict.snap");
-
-    // A session with distillation enabled (see build_distill_corpus for
-    // why two LFs per class vote on the same rows).
     let corpus = build_distill_corpus(400);
     let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
     let mut disc_cfg = DiscTrainerConfig::with_dim(1 << 12);
@@ -363,16 +438,20 @@ fn predict_answers_zero_coverage_candidates_and_survives_kill_resume() {
     };
     let mut session = IncrementalSession::new(corpus, config.clone());
     session.ingest_candidates(&ids);
-    const DISTILL_SPECS: [&str; 4] = [
-        "lf_causes KEYWORD 1 1 causes",
-        "lf_induces KEYWORD 1 1 induces",
-        "lf_treats KEYWORD -1 -1 treats",
-        "lf_cures KEYWORD -1 -1 cures",
-    ];
     for spec in DISTILL_SPECS {
         let (lf, tag) = wire_lf(spec);
         session.add_lf_tagged(lf, tag);
     }
+    (session, config)
+}
+
+#[test]
+fn predict_answers_zero_coverage_candidates_and_survives_kill_resume() {
+    let dir = std::env::temp_dir().join(format!("snorkel-predict-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap_path = dir.join("predict.snap");
+
+    let (session, config) = distill_session();
 
     let server = LabelServer::start(
         session,
@@ -459,4 +538,53 @@ fn predict_answers_zero_coverage_candidates_and_survives_kill_resume() {
     client.request("SHUTDOWN").expect("bye");
     server.wait().expect("clean shutdown");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn text_predict_matches_binary_predict_bit_for_bit() {
+    let (mut session, _) = distill_session();
+    session.refresh();
+    session.distill();
+    let server = LabelServer::start(session, ServeConfig::default()).expect("bind");
+    let rows: Vec<Vec<String>> = [
+        &["btw=induce", "u=alpha99"][..],
+        &["btw=cure", "u=alpha99"],
+        &["btw=cause", "btw=and", "btw=induce", "pair=alpha1|beta2"],
+        &["u=gamma5"],
+        &["btw=treat", "btw=cure", "order=true", "dist=2"],
+        &["never=seen"],
+    ]
+    .iter()
+    .map(|row| row.iter().map(|f| f.to_string()).collect())
+    .collect();
+
+    let mut bin = FrameClient::connect(server.addr()).expect("frame connect");
+    let reply = bin.predict(&rows).expect("binary round trip");
+    let BinReply::Predict {
+        gen,
+        disc_gen,
+        probs,
+    } = reply
+    else {
+        panic!("unexpected reply {reply:?}");
+    };
+    assert_eq!(probs.len(), rows.len());
+
+    let mut text = Client::connect(server.addr()).expect("text connect");
+    for (row, bin_row) in rows.iter().zip(&probs) {
+        let reply = text
+            .request(&format!("PREDICT {}", row.join(" ")))
+            .expect("text round trip");
+        assert!(reply.starts_with("OK "), "{reply}");
+        assert_eq!(field(&reply, "gen"), gen.to_string());
+        assert_eq!(field(&reply, "disc_gen"), disc_gen.to_string());
+        let text_bits: Vec<u64> = field(&reply, "p")
+            .split(',')
+            .map(|p| p.parse::<f64>().expect("probability").to_bits())
+            .collect();
+        let bin_bits: Vec<u64> = bin_row.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(text_bits, bin_bits, "planes disagree on {row:?}");
+    }
+
+    server.shutdown().expect("clean shutdown");
 }

@@ -11,7 +11,7 @@
 //! cargo run --release --example serving -- hammer \
 //!     --port 7341 --clients 8 --queries 150               torn-read check
 //! cargo run --release --example serving -- bincheck \
-//!     --port 7341 --batch 8              binary-vs-text equivalence check
+//!     --port 7341 --batch 8    binary-vs-text MARGINAL/PREDICT equivalence
 //! cargo run --release --example serving -- verify-snap path/to.snap
 //! ```
 //!
@@ -362,12 +362,47 @@ fn run_hammer(args: &Args) -> ! {
     std::process::exit(0);
 }
 
+/// Check one text reply against the binary plane's row for the same
+/// request: same generation, bit-identical posterior. Text replies use
+/// shortest-round-trip float formatting, so parsing them back yields the
+/// exact f64 the server computed.
+fn check_text_row(what: &str, i: usize, reply: &str, bin_gen: u64, bin_row: &[f64]) {
+    if !reply.starts_with("OK ") {
+        die(&format!("text plane refused {what} row {i}: {reply}"));
+    }
+    let text_gen: u64 = field(reply, "gen")
+        .parse()
+        .unwrap_or_else(|_| die(&format!("bad gen in {reply:?}")));
+    if text_gen != bin_gen {
+        die(&format!(
+            "generation skew: binary {what} batch gen={bin_gen}, text row {i} gen={text_gen}"
+        ));
+    }
+    let text_row: Vec<f64> = field(reply, "p")
+        .split(',')
+        .map(|p| {
+            p.parse()
+                .unwrap_or_else(|_| die(&format!("bad p in {reply:?}")))
+        })
+        .collect();
+    let same_bits = text_row.len() == bin_row.len()
+        && text_row
+            .iter()
+            .zip(bin_row)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+    if !same_bits {
+        die(&format!(
+            "{what} posterior mismatch on row {i}: binary {bin_row:?} vs text {text_row:?}"
+        ));
+    }
+}
+
 /// Cross-plane equivalence, cross-process: send one binary `OP_MARGINAL`
 /// frame carrying `--batch` rows, then the same rows as individual text
-/// `MARGINAL` lines, and require bit-identical posteriors. Text replies
-/// use shortest-round-trip float formatting, so parsing them back yields
-/// the exact f64 the server computed — any drift between the planes
-/// (or a batch that doesn't hold one consistent generation) fails here.
+/// `MARGINAL` lines, and require bit-identical posteriors; then the same
+/// for one `OP_PREDICT` batch against text `PREDICT` lines (the demo
+/// server is distilled). Any drift between the planes (or a batch that
+/// doesn't hold one consistent generation) fails here.
 fn run_bincheck(args: &Args) -> ! {
     let addr = addr_of(args);
     let batch = args.get_usize("batch", 8).max(1);
@@ -412,36 +447,46 @@ fn run_bincheck(args: &Args) -> ! {
         let reply = text
             .request(&format!("MARGINAL {}", entries.join(",")))
             .unwrap_or_else(|e| die(&format!("text round trip: {e}")));
-        if !reply.starts_with("OK ") {
-            die(&format!("text plane refused row {i}: {reply}"));
-        }
-        let text_gen: u64 = field(&reply, "gen")
-            .parse()
-            .unwrap_or_else(|_| die(&format!("bad gen in {reply:?}")));
-        if text_gen != bin_gen {
-            die(&format!(
-                "generation skew: binary batch gen={bin_gen}, text row {i} gen={text_gen}"
-            ));
-        }
-        let text_row: Vec<f64> = field(&reply, "p")
-            .split(',')
-            .map(|p| {
-                p.parse()
-                    .unwrap_or_else(|_| die(&format!("bad p in {reply:?}")))
-            })
-            .collect();
-        let same_bits = text_row.len() == bin_row.len()
-            && text_row
-                .iter()
-                .zip(bin_row)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_bits {
-            die(&format!(
-                "posterior mismatch on row {i}: binary {bin_row:?} vs text {text_row:?}"
-            ));
-        }
+        check_text_row("MARGINAL", i, &reply, bin_gen, bin_row);
     }
-    println!("binary batch OK: {batch} rows bit-identical across planes, gen={bin_gen}");
+
+    const FEATURES: [&[&str]; 4] = [
+        &["btw=cause", "u=chem3"],
+        &["btw=treat", "u=chem9", "u=disease2"],
+        &["pair=chem1|disease2"],
+        &["never=seen"],
+    ];
+    let feature_rows: Vec<Vec<String>> = (0..batch)
+        .map(|i| {
+            FEATURES[i % FEATURES.len()]
+                .iter()
+                .map(|f| f.to_string())
+                .collect()
+        })
+        .collect();
+    let (predict_gen, predict_probs) = match frames.predict(&feature_rows) {
+        Ok(BinReply::Predict { gen, probs, .. }) => (gen, probs),
+        Ok(BinReply::Err { message }) => die(&format!("binary PREDICT batch refused: {message}")),
+        Ok(other) => die(&format!("unexpected binary reply: {other:?}")),
+        Err(e) => die(&format!("binary round trip: {e}")),
+    };
+    if predict_probs.len() != feature_rows.len() {
+        die(&format!(
+            "binary PREDICT batch returned {} rows for {} requests",
+            predict_probs.len(),
+            feature_rows.len()
+        ));
+    }
+    for (i, (features, bin_row)) in feature_rows.iter().zip(&predict_probs).enumerate() {
+        let reply = text
+            .request(&format!("PREDICT {}", features.join(" ")))
+            .unwrap_or_else(|e| die(&format!("text round trip: {e}")));
+        check_text_row("PREDICT", i, &reply, predict_gen, bin_row);
+    }
+    println!(
+        "binary batch OK: {batch} MARGINAL and {batch} PREDICT rows bit-identical across \
+         planes, gen={bin_gen}"
+    );
     std::process::exit(0);
 }
 
