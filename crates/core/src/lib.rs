@@ -65,7 +65,8 @@ pub use optimizer::{
     choose_strategy, select_model, ModelingStrategy, OptimizerConfig, StrategyDecision,
 };
 pub use pipeline::{
-    run_pipeline, DiscTrainer, DiscTrainerConfig, Pipeline, PipelineConfig, PipelineReport,
+    fit_labels, run_pipeline, select_strategy, DiscTrainer, DiscTrainerConfig, Pipeline,
+    PipelineConfig, PipelineReport,
 };
 pub use structure::{learn_structure, StructureConfig, StructureReport};
 pub use vote::{majority_vote, modeling_advantage, plurality_class, weighted_vote};

@@ -15,6 +15,10 @@
 //! selects out of the configured
 //! [`ModelRegistry`] — majority vote
 //! is just the cheapest backend, not a special case.
+//!
+//! The select, fit and distill stages are one function each —
+//! [`select_strategy`], [`fit_labels`], [`DiscTrainer::train_from`] —
+//! called by both [`Pipeline`] and the incremental session.
 
 use std::time::Duration;
 
@@ -25,7 +29,7 @@ use snorkel_linalg::SparseVec;
 use snorkel_matrix::{LabelMatrix, ShardedMatrix};
 
 use crate::label_model::{LabelModel, ModelRegistry};
-use crate::model::{build_plan, LabelScheme, TrainConfig};
+use crate::model::{build_plan, FitReport, LabelScheme, TrainConfig};
 use crate::optimizer::{select_model, ModelingStrategy, OptimizerConfig};
 
 /// Start a span for one pipeline stage. The span's
@@ -108,16 +112,32 @@ impl DiscTrainer {
     }
 
     /// Cold-train a fresh distilled model on the label model's
-    /// marginals. `num_classes` must match the marginal rows' width
-    /// (it exists so an empty training set still builds a model of the
-    /// right shape); a mismatch panics instead of silently training a
-    /// different class count.
+    /// marginals, in parallel over `plan`'s shard ranges (see
+    /// [`Self::train_from`]).
     pub fn train(
         &self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
         num_classes: usize,
         plan: Option<&ShardedMatrix>,
+    ) -> (DistilledModel, DistillReport) {
+        let ranges = DiscTrainer::ranges_for(plan, xs.len());
+        self.train_from(None, xs, marginals, num_classes, &ranges)
+    }
+
+    /// The distill stage: continue from `warm` when its shape (dim and
+    /// class count) matches this configuration, else start a fresh
+    /// model, then fit it over the row `ranges`. `num_classes` must
+    /// match the marginal rows' width (it exists so an empty training
+    /// set still builds a model of the right shape); a mismatch panics
+    /// instead of silently training a different class count.
+    pub fn train_from(
+        &self,
+        warm: Option<DistilledModel>,
+        xs: &[SparseVec],
+        marginals: &[Vec<f64>],
+        num_classes: usize,
+        ranges: &[(usize, usize)],
     ) -> (DistilledModel, DistillReport) {
         if let Some(row) = marginals.first() {
             assert_eq!(
@@ -127,29 +147,65 @@ impl DiscTrainer {
                 row.len()
             );
         }
-        let mut model = DistilledModel::new(self.config.train.dim, num_classes);
-        let report = self.train_warm(&mut model, xs, marginals, plan);
+        let dim = self.config.train.dim;
+        let mut model = warm
+            .filter(|m| m.dim() == dim && m.num_classes() == num_classes)
+            .unwrap_or_else(|| DistilledModel::new(dim, num_classes));
+        let report = model.fit(xs, marginals, ranges, &self.config.train);
         (model, report)
     }
+}
 
-    /// Warm-retrain an existing model in place, continuing from its
-    /// current weights — the serving layer's retrain-after-edit path.
-    /// A model whose shape no longer matches the config is replaced by
-    /// a cold one first.
-    pub fn train_warm(
-        &self,
-        model: &mut DistilledModel,
-        xs: &[SparseVec],
-        marginals: &[Vec<f64>],
-        plan: Option<&ShardedMatrix>,
-    ) -> DistillReport {
-        let num_classes = marginals.first().map_or(model.num_classes(), Vec::len);
-        if model.dim() != self.config.train.dim || model.num_classes() != num_classes {
-            *model = DistilledModel::new(self.config.train.dim, num_classes);
+/// The select stage (Algorithm 1): a forced strategy wins; multi-class
+/// Λ always trains the independent generative model, because the
+/// advantage analysis is binary-only; otherwise [`select_model`]
+/// decides. Returns the strategy and the predicted advantage bound A~*,
+/// which is `NaN` when no bound was computed (forced or multi-class).
+pub fn select_strategy(
+    lambda: &LabelMatrix,
+    force: Option<&ModelingStrategy>,
+    optimizer: &OptimizerConfig,
+    registry: &ModelRegistry,
+) -> (ModelingStrategy, f64) {
+    match force {
+        Some(s) => (s.clone(), f64::NAN),
+        None if lambda.is_binary() => {
+            let d = select_model(lambda, optimizer, registry);
+            (d.strategy, d.predicted_advantage)
         }
-        let ranges = DiscTrainer::ranges_for(plan, xs.len());
-        model.fit(xs, marginals, &ranges, &self.config.train)
+        None => (
+            ModelingStrategy::GenerativeModel {
+                epsilon: 0.0,
+                correlations: Vec::new(),
+                strengths: Vec::new(),
+            },
+            f64::NAN,
+        ),
     }
+}
+
+/// The fit stage: build `strategy`'s backend from `registry`, fit it
+/// over `plan` — warm from `warm = (prev, changed_cols)` when given
+/// (see [`LabelModel::fit_warm`]) — and compute its marginals over the
+/// same plan. Returns the fitted model, its fit report and the
+/// per-class labels (`labels[row][class]`).
+pub fn fit_labels(
+    registry: &ModelRegistry,
+    strategy: &ModelingStrategy,
+    lambda: &LabelMatrix,
+    plan: &ShardedMatrix,
+    train: &TrainConfig,
+    warm: Option<(&dyn LabelModel, &[usize])>,
+) -> (Box<dyn LabelModel>, FitReport, Vec<Vec<f64>>) {
+    let mut model = registry
+        .build(strategy, lambda.num_lfs(), lambda.cardinality())
+        .unwrap_or_else(|e| panic!("label-model registry misconfigured: {e}"));
+    let report = match warm {
+        Some((prev, changed_cols)) => model.fit_warm(lambda, Some(plan), train, prev, changed_cols),
+        None => model.fit(lambda, Some(plan), train),
+    };
+    let labels = model.marginals(lambda, Some(plan));
+    (model, report, labels)
 }
 
 /// Pipeline configuration.
@@ -196,7 +252,8 @@ pub struct PipelineReport {
     pub strategy: ModelingStrategy,
     /// Name of the backend that produced the labels.
     pub backend: &'static str,
-    /// Predicted advantage bound A~* (0 when forced).
+    /// Predicted advantage bound A~* (`NaN` when forced or multi-class:
+    /// no bound was computed).
     pub predicted_advantage: f64,
     /// Label density of Λ.
     pub label_density: f64,
@@ -274,39 +331,21 @@ impl Pipeline {
     ) -> (Vec<Vec<f64>>, PipelineReport, ShardedMatrix) {
         let strategy_span = stage_span("strategy_selection");
 
-        let (strategy, predicted) = match &self.config.force_strategy {
-            Some(s) => (s.clone(), 0.0),
-            None => {
-                if lambda.is_binary() {
-                    let d = select_model(lambda, &self.config.optimizer, &self.config.registry);
-                    (d.strategy, d.predicted_advantage)
-                } else {
-                    // The advantage analysis is binary; multi-class tasks
-                    // (e.g. Crowd) always train the generative model.
-                    (
-                        ModelingStrategy::GenerativeModel {
-                            epsilon: 0.0,
-                            correlations: Vec::new(),
-                            strengths: Vec::new(),
-                        },
-                        f64::NAN,
-                    )
-                }
-            }
-        };
+        let cfg = &self.config;
+        let (strategy, predicted) = select_strategy(
+            lambda,
+            cfg.force_strategy.as_ref(),
+            &cfg.optimizer,
+            &cfg.registry,
+        );
         let strategy_time = strategy_span.finish();
 
         let training_span = stage_span("training");
-        let mut model = self
-            .config
-            .registry
-            .build(&strategy, lambda.num_lfs(), lambda.cardinality())
-            .unwrap_or_else(|e| panic!("pipeline misconfigured: {e}"));
         // Build the pattern plan once and reuse it for training, the
         // final marginals pass and the distillation ranges.
         let plan = build_plan(lambda);
-        model.fit(lambda, Some(&plan), &self.config.train);
-        let labels = model.marginals(lambda, Some(&plan));
+        let (model, _, labels) =
+            fit_labels(&cfg.registry, &strategy, lambda, &plan, &cfg.train, None);
         let training_time = training_span.finish();
 
         let report = PipelineReport {

@@ -30,8 +30,10 @@
 //!   from scratch because a cold fit is already the cheap path.
 //! * **Structure-sweep reuse** — on a one-column edit the Algorithm-1
 //!   ε-sweep (the expensive half of strategy selection) is skipped and
-//!   the previous correlation structure is reused; the cheap `A~*`
-//!   advantage bound is always re-checked.
+//!   the previous refresh's correlation structure is reused; the cheap
+//!   `A~*` advantage bound is always re-checked. Only the previous
+//!   refresh's selection is reused; when it was not a generative model,
+//!   the edit selects afresh.
 //! * **Reused refresh scratch** — the session owns a
 //!   [`snorkel_matrix::ResignScratch`] threaded into the sharded plan's
 //!   delta column re-signs, so repeated edits stop allocating once the
@@ -41,6 +43,8 @@
 //!
 //! [`IncrementalSession`] ties these together behind an
 //! add/edit/remove/ingest/[`refresh`](IncrementalSession::refresh) API.
+//! The select, fit and distill stages are [`snorkel_core::pipeline`]'s,
+//! the ones the batch `Pipeline` runs.
 //!
 //! ## Cache key scheme and invalidation
 //!

@@ -8,10 +8,8 @@ use std::time::Duration;
 use snorkel_context::{CandidateId, CandidateView, Corpus};
 use snorkel_core::label_model::{LabelModel, ModelRegistry, ModelSnapshot};
 use snorkel_core::model::{build_plan, plan_shards, LabelScheme, ParamsError, TrainConfig};
-use snorkel_core::optimizer::{
-    advantage_upper_bound, select_model, ModelingStrategy, OptimizerConfig,
-};
-use snorkel_core::pipeline::{DiscTrainer, DiscTrainerConfig};
+use snorkel_core::optimizer::{advantage_upper_bound, ModelingStrategy, OptimizerConfig};
+use snorkel_core::pipeline::{fit_labels, select_strategy, DiscTrainer, DiscTrainerConfig};
 use snorkel_disc::{DiscModelParts, DistillReport, DistilledModel, TextFeaturizer};
 use snorkel_lf::{BoxedLf, LfExecutor};
 use snorkel_linalg::SparseVec;
@@ -87,10 +85,6 @@ fn ingest_span() -> snorkel_obs::Span {
     )
 }
 
-/// Publish the per-LF drift gauges
-/// (`snorkel_stream_drift_score_lf_ppm{lf="…"}`, scores × 10⁶ — the
-/// registry's gauges are integers). Registered here rather than in
-/// `snorkel-stream` because only the session knows the LF names.
 /// Extend `plan` over the rows appended to `lambda`: they are interned
 /// into the tail shard while the plan's shard count is the shard rule's
 /// for the grown Λ. Otherwise (growth crossed `SCALEOUT_MIN_ROWS`, or
@@ -107,6 +101,31 @@ fn grow_plan(plan: &mut ShardedMatrix, lambda: &LabelMatrix) -> bool {
     }
 }
 
+/// Grow `lambda` to `rows` rows, gathering the appended rows' votes from
+/// the live columns' cached entries (`live` is the suite's column
+/// layout; every column must already cover `rows`).
+fn append_cached_rows(
+    cache: &mut LfResultCache,
+    live: &[Fingerprint],
+    lambda: &mut LabelMatrix,
+    rows: usize,
+) {
+    let old_rows = lambda.num_points();
+    let mut appended: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); rows - old_rows];
+    for (j, fp) in live.iter().enumerate() {
+        let entries = cache.entries(*fp).expect("live column cached");
+        let start = entries.partition_point(|e| (e.0 as usize) < old_rows);
+        for &(row, v) in &entries[start..] {
+            appended[row as usize - old_rows].push((j as u32, v));
+        }
+    }
+    lambda.apply_delta(&MatrixDelta::AppendRows { rows: appended });
+}
+
+/// Publish the per-LF drift gauges
+/// (`snorkel_stream_drift_score_lf_ppm{lf="…"}`, scores × 10⁶ — the
+/// registry's gauges are integers). Registered here rather than in
+/// `snorkel-stream` because only the session knows the LF names.
 fn publish_drift_gauges<'a>(names: impl Iterator<Item = &'a str>, scores: &[f64]) {
     let registry = snorkel_obs::global();
     for (name, score) in names.zip(scores) {
@@ -117,8 +136,8 @@ fn publish_drift_gauges<'a>(names: impl Iterator<Item = &'a str>, scores: &[f64]
 }
 
 /// Session configuration. The defaults mirror
-/// [`snorkel_core::pipeline::PipelineConfig`], plus the incremental
-/// knobs.
+/// [`snorkel_core::pipeline::PipelineConfig`], plus the LF-result cache
+/// bound and the streaming drift settings.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// LF executor (parallelism, vote-scheme cardinality).
@@ -135,14 +154,6 @@ pub struct SessionConfig {
     pub force_strategy: Option<ModelingStrategy>,
     /// The label-model backends this session may build.
     pub registry: ModelRegistry,
-    /// Reuse the previous refresh's structure-sweep outcome when at most
-    /// one column changed and no rows were ingested (the Algorithm-1
-    /// sweep is by far the most expensive part of strategy selection,
-    /// and a one-column edit rarely changes which LF pairs correlate).
-    /// Structural suite changes always re-run the sweep.
-    pub reuse_structure_on_column_edit: bool,
-    /// Warm-start generative training from the previous refresh's model.
-    pub warm_start: bool,
     /// Maximum cached columns (live suite columns are never evicted).
     pub cache_capacity: usize,
     /// Distillation: when set, [`IncrementalSession::distill`] trains a
@@ -165,8 +176,6 @@ impl Default for SessionConfig {
             optimizer: OptimizerConfig::default(),
             force_strategy: None,
             registry: ModelRegistry::standard(),
-            reuse_structure_on_column_edit: true,
-            warm_start: true,
             cache_capacity: 256,
             distill: None,
             drift: DriftConfig::default(),
@@ -271,6 +280,16 @@ pub struct IngestReport {
     pub generation: u64,
 }
 
+/// What [`IncrementalSession::extend_live_columns`] executed (the
+/// [`RefreshReport`] fields of the same names).
+#[derive(Default)]
+struct ColumnWork {
+    reused: usize,
+    recomputed: usize,
+    extended: usize,
+    lf_invocations: usize,
+}
+
 struct SessionLf {
     lf: BoxedLf,
     fingerprint: Fingerprint,
@@ -326,25 +345,23 @@ impl DiscTrainingSet {
     /// Distill (warm when [`Self::warm`] is set). Pure function of the
     /// set — safe to run outside any session lock.
     pub fn train(self) -> (DiscState, DistillReport) {
-        let mut model = self
-            .warm
-            .filter(|m| m.dim() == self.config.train.dim && m.num_classes() == self.num_classes)
-            .unwrap_or_else(|| DistilledModel::new(self.config.train.dim, self.num_classes));
+        let trainer = DiscTrainer::new(self.config);
         // Candidates ingested after the last refresh have features but
         // no marginal row yet; they join training after the next
         // refresh labels them.
         let rows = self.marginals.len();
         let retrain_span = stage_span("disc_retrain");
-        let report = model.fit(
+        let (model, report) = trainer.train_from(
+            self.warm,
             &self.features[..rows],
             &self.marginals,
+            self.num_classes,
             &self.ranges,
-            &self.config.train,
         );
         drop(retrain_span);
         (
             DiscState {
-                config: self.config,
+                config: trainer.config,
                 model,
                 generation: self.generation,
             },
@@ -448,7 +465,10 @@ impl From<ParamsError> for ThawError {
 }
 
 /// The incremental labeling engine's façade: an interactive-session
-/// counterpart to the batch [`snorkel_core::pipeline::Pipeline`].
+/// counterpart to the batch [`snorkel_core::pipeline::Pipeline`], running
+/// the same select, fit and distill stages. It adds cache, Λ and plan
+/// maintenance, and structure reuse: a one-column edit may reuse only
+/// the previous refresh's selection.
 ///
 /// ## Contract
 ///
@@ -486,11 +506,10 @@ pub struct IncrementalSession {
     model: Option<Box<dyn LabelModel>>,
     /// Fingerprint layout at the last refresh (column-aligned).
     last_fingerprints: Vec<Fingerprint>,
-    /// Row count at the last refresh.
-    last_rows: usize,
-    /// Last GM strategy (correlation structure) the optimizer produced,
-    /// together with the LF-name layout it was derived from — pair
-    /// indices are only meaningful against that exact layout.
+    /// The previous refresh's selection when it was a generative model
+    /// (its correlation structure), together with the LF-name layout it
+    /// was derived from — pair indices are only meaningful against that
+    /// exact layout.
     last_gm_strategy: Option<(ModelingStrategy, Vec<String>)>,
     /// Bumped by every [`Self::refresh`]; the reference the disc
     /// model's staleness is measured against.
@@ -535,7 +554,6 @@ impl IncrementalSession {
             plan: None,
             model: None,
             last_fingerprints: Vec::new(),
-            last_rows: 0,
             last_gm_strategy: None,
             refresh_generation: 0,
             features: std::sync::Arc::new(Vec::new()),
@@ -927,7 +945,7 @@ impl IncrementalSession {
             plan: self.plan.as_ref().map(ShardedMatrix::to_parts),
             model: self.model.as_deref().map(LabelModel::to_snapshot),
             last_fingerprints: self.last_fingerprints.clone(),
-            last_rows: self.last_rows,
+            last_rows: self.lambda.as_ref().map_or(0, LabelMatrix::num_points),
             last_gm_strategy: self.last_gm_strategy.clone(),
             refresh_generation: self.refresh_generation,
             disc: self.disc.as_ref().map(|d| FrozenDisc {
@@ -1190,7 +1208,6 @@ impl IncrementalSession {
             plan,
             model,
             last_fingerprints,
-            last_rows,
             last_gm_strategy,
             refresh_generation,
             features: std::sync::Arc::new(Vec::new()),
@@ -1206,6 +1223,46 @@ impl IncrementalSession {
         // snapshot carried.
         session.publish_gauges();
         Ok(session)
+    }
+
+    /// Bring every live column's cache entry up to the registered rows,
+    /// executing only what the cache cannot serve: whole columns it has
+    /// never seen, or just the rows registered since a column last ran.
+    /// Then evict down to capacity (live columns are never evicted).
+    /// Returns what ran and the live column layout.
+    fn extend_live_columns(&mut self) -> (ColumnWork, Vec<Fingerprint>) {
+        let m = self.candidates.len();
+        let mut work = ColumnWork::default();
+        for s in &self.lfs {
+            let covered = self.cache.rows(s.fingerprint);
+            if covered >= m {
+                self.cache.note_hit();
+                work.reused += 1;
+                continue;
+            }
+            // Execute rows covered..m of this column — in parallel across
+            // candidates via the executor (a 1-LF suite).
+            let slice = &self.candidates[covered..];
+            let mini = self
+                .config
+                .executor
+                .apply(std::slice::from_ref(&s.lf), &self.corpus, slice);
+            let mut entries = mini.column(0);
+            for e in &mut entries {
+                e.0 += covered as u32;
+            }
+            work.lf_invocations += slice.len();
+            if covered == 0 {
+                work.recomputed += 1;
+                self.cache.insert(s.fingerprint, m, entries);
+            } else {
+                work.extended += 1;
+                self.cache.extend(s.fingerprint, m, entries);
+            }
+        }
+        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
+        self.cache.evict_to_capacity(&live);
+        (work, live)
     }
 
     /// Bring labels up to date after any sequence of edits: re-execute
@@ -1228,41 +1285,7 @@ impl IncrementalSession {
         //    only what it cannot serve.
         // ------------------------------------------------------------------
         let lf_span = stage_span("lf_exec");
-        let mut columns_reused = 0usize;
-        let mut columns_recomputed = 0usize;
-        let mut columns_extended = 0usize;
-        let mut lf_invocations = 0usize;
-        for j in 0..n {
-            let fp = self.lfs[j].fingerprint;
-            let covered = self.cache.rows(fp);
-            if covered >= m {
-                self.cache.note_hit();
-                columns_reused += 1;
-                continue;
-            }
-            // Execute rows covered..m of this column — in parallel across
-            // candidates via the executor (a 1-LF suite).
-            let slice = &self.candidates[covered..];
-            let mini = self.config.executor.apply(
-                std::slice::from_ref(&self.lfs[j].lf),
-                &self.corpus,
-                slice,
-            );
-            let mut entries = mini.column(0);
-            for e in &mut entries {
-                e.0 += covered as u32;
-            }
-            lf_invocations += slice.len();
-            if covered == 0 {
-                columns_recomputed += 1;
-                self.cache.insert(fp, m, entries);
-            } else {
-                columns_extended += 1;
-                self.cache.extend(fp, m, entries);
-            }
-        }
-        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
-        self.cache.evict_to_capacity(&live);
+        let (work, live) = self.extend_live_columns();
         let lf_time = lf_span.finish();
 
         // ------------------------------------------------------------------
@@ -1277,19 +1300,7 @@ impl IncrementalSession {
                 .filter(|&j| live[j] != self.last_fingerprints[j])
                 .collect()
         };
-        let new_rows = m.saturating_sub(self.last_rows);
-        // The stored correlation structure indexes columns of one exact
-        // suite layout; drop it whenever the layout's LF identities no
-        // longer match (add/remove, including length-preserving
-        // shuffles — edits keep the name, so they survive).
-        let layout: Vec<String> = self.lfs.iter().map(|s| s.lf.name().to_string()).collect();
-        if self
-            .last_gm_strategy
-            .as_ref()
-            .is_some_and(|(_, stored)| *stored != layout)
-        {
-            self.last_gm_strategy = None;
-        }
+        let new_rows = m - self.lambda.as_ref().map_or(0, LabelMatrix::num_points);
 
         let lambda_update;
         if let (Some(lambda), false) = (self.lambda.as_mut(), structural) {
@@ -1301,16 +1312,7 @@ impl IncrementalSession {
                 // splice — both sourced from the same cached column, so
                 // the result is consistent either way).
                 if new_rows > 0 {
-                    let old_m = self.last_rows;
-                    let mut rows: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); new_rows];
-                    for (j, fp) in live.iter().enumerate() {
-                        let entries = self.cache.entries(*fp).expect("live column cached");
-                        let start = entries.partition_point(|e| (e.0 as usize) < old_m);
-                        for &(row, v) in &entries[start..] {
-                            rows[row as usize - old_m].push((j as u32, v));
-                        }
-                    }
-                    lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+                    append_cached_rows(&mut self.cache, &live, lambda, m);
                 }
                 for &j in &changed_cols {
                     let entries = self
@@ -1343,117 +1345,98 @@ impl IncrementalSession {
         // plan (see `grow_plan`); a column splice re-signs just the rows
         // that voted in the old or new column. Structural suite changes
         // rebuild.
-        {
-            let lambda = self.lambda.as_ref().expect("Λ assembled above");
-            let rebuild = match (&mut self.plan, lambda_update) {
-                (Some(plan), LambdaUpdate::Patched { .. }) => {
-                    let rebuilt = new_rows > 0 && grow_plan(plan, lambda);
-                    if !rebuilt {
-                        for &j in &changed_cols {
-                            plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
-                        }
-                    }
-                    false
-                }
-                (Some(_), LambdaUpdate::Unchanged) => false,
-                _ => true,
-            };
-            if rebuild {
-                self.plan = Some(build_plan(lambda));
-            }
-        }
         let lambda = self.lambda.as_ref().expect("Λ assembled above");
+        match (&mut self.plan, lambda_update) {
+            (Some(plan), LambdaUpdate::Patched { .. }) => {
+                if !(new_rows > 0 && grow_plan(plan, lambda)) {
+                    for &j in &changed_cols {
+                        plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
+                    }
+                }
+            }
+            (Some(_), LambdaUpdate::Unchanged) => {}
+            (plan, _) => *plan = Some(build_plan(lambda)),
+        }
         let assembly_time = asm_span.finish();
 
         // ------------------------------------------------------------------
         // 3. Strategy selection (Algorithm 1, with sweep reuse).
         // ------------------------------------------------------------------
         let strat_span = stage_span("strategy");
-        let mut structure_reused = false;
-        let (strategy, predicted) = if let Some(s) = &self.config.force_strategy {
-            (s.clone(), f64::NAN)
-        } else if !lambda.is_binary() {
-            // Mirrors the batch pipeline: the advantage analysis is
-            // binary-only, so multi-class tasks always train the GM.
-            (
-                ModelingStrategy::GenerativeModel {
-                    epsilon: 0.0,
-                    correlations: Vec::new(),
-                    strengths: Vec::new(),
-                },
-                f64::NAN,
-            )
-        } else {
-            let reuse_ok = self.config.reuse_structure_on_column_edit
+        let optimizer = &self.config.optimizer;
+        // Structure reuse: an unforced binary refresh that changed at
+        // most one column and appended no rows keeps the correlation
+        // structure the previous refresh selected (the sweep is by far
+        // the most expensive part of selection). It indexes columns of
+        // one exact layout, so any add/remove/shuffle drops it.
+        let layout: Vec<String> = self.lfs.iter().map(|s| s.lf.name().to_string()).collect();
+        let reusable = self.last_gm_strategy.take().filter(|(_, stored)| {
+            *stored == layout
+                && self.config.force_strategy.is_none()
+                && lambda.is_binary()
                 && !structural
                 && new_rows == 0
                 && changed_cols.len() <= 1
-                && self.last_gm_strategy.is_some();
-            if reuse_ok {
+        });
+        let mut structure_reused = false;
+        let (strategy, predicted) = match reusable {
+            Some((stored, _)) => {
                 // The bound is O(nnz) — always recompute it; only the
                 // expensive sweep is reused.
-                let predicted = advantage_upper_bound(lambda, &self.config.optimizer);
-                if predicted < self.config.optimizer.gamma {
-                    (ModelingStrategy::MajorityVote, predicted)
+                let predicted = advantage_upper_bound(lambda, optimizer);
+                structure_reused = predicted >= optimizer.gamma;
+                if structure_reused {
+                    (stored, predicted)
                 } else {
-                    structure_reused = true;
-                    (
-                        self.last_gm_strategy.clone().expect("reuse_ok checked").0,
-                        predicted,
-                    )
+                    (ModelingStrategy::MajorityVote, predicted)
                 }
-            } else {
-                let d = select_model(lambda, &self.config.optimizer, &self.config.registry);
-                (d.strategy, d.predicted_advantage)
             }
+            None => select_strategy(
+                lambda,
+                self.config.force_strategy.as_ref(),
+                optimizer,
+                &self.config.registry,
+            ),
         };
-        if matches!(strategy, ModelingStrategy::GenerativeModel { .. })
-            && self.config.force_strategy.is_none()
-            && lambda.is_binary()
-        {
+        // Store only this refresh's selection: the next edit may reuse
+        // it, never one from further back.
+        if matches!(strategy, ModelingStrategy::GenerativeModel { .. }) {
             self.last_gm_strategy = Some((strategy.clone(), layout));
         }
         let strategy_time = strat_span.finish();
 
         // ------------------------------------------------------------------
-        // 4. Labels: build the selected backend and fit it — warm-started
-        //    from the previous refresh's model when possible.
+        // 4. Labels: build the selected backend, fit it through the live
+        //    plan — warm-started from the previous refresh's model when it
+        //    scores the same scheme — and infer.
         // ------------------------------------------------------------------
         let train_span = stage_span("fit");
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let mut model = self
-            .config
-            .registry
-            .build(&strategy, n, lambda.cardinality())
-            .unwrap_or_else(|e| panic!("session misconfigured: {e}"));
-        let prev_compatible = self
-            .model
-            .as_deref()
-            .is_some_and(|prev| prev.scheme() == scheme);
-        // Train and infer through the live plan.
-        let plan = self.plan.as_ref();
-        let train_cfg = &self.config.train;
-        let report = if self.config.warm_start && prev_compatible {
-            let prev = self.model.take().expect("prev_compatible checked");
-            if structural || prev.num_lfs() != n {
+        let prev = self.model.take().filter(|prev| prev.scheme() == scheme);
+        let (remapped, fresh);
+        let warm = match &prev {
+            Some(prev) if structural || prev.num_lfs() != n => {
                 // Map surviving columns to their previous per-column
                 // state by fingerprint; new/edited columns start fresh.
                 let col_map: Vec<Option<usize>> = live
                     .iter()
                     .map(|fp| self.last_fingerprints.iter().position(|p| p == fp))
                     .collect();
-                let fresh: Vec<usize> = (0..n).filter(|&j| col_map[j].is_none()).collect();
-                let remapped = prev.remapped(&col_map);
-                model.fit_warm(lambda, plan, train_cfg, remapped.as_ref(), &fresh)
-            } else {
-                model.fit_warm(lambda, plan, train_cfg, prev.as_ref(), &changed_cols)
+                fresh = (0..n).filter(|&j| col_map[j].is_none()).collect::<Vec<_>>();
+                remapped = prev.remapped(&col_map);
+                Some((remapped.as_ref(), fresh.as_slice()))
             }
-        } else {
-            model.fit(lambda, plan, train_cfg)
+            Some(prev) => Some((prev.as_ref(), changed_cols.as_slice())),
+            None => None,
         };
-        let warm_started = report.warm_started;
-        let fit_epochs = report.epochs;
-        let labels = model.marginals(lambda, plan);
+        let (model, fit, labels) = fit_labels(
+            &self.config.registry,
+            &strategy,
+            lambda,
+            self.plan.as_ref().expect("plan kept in sync above"),
+            &self.config.train,
+            warm,
+        );
         let backend = model.backend_name();
         self.model = Some(model);
         let training_time = train_span.finish();
@@ -1462,7 +1445,6 @@ impl IncrementalSession {
         // 5. Commit refresh bookkeeping and report.
         // ------------------------------------------------------------------
         self.last_fingerprints = live;
-        self.last_rows = m;
         // Keep the streaming plane consistent with the refreshed Λ:
         // suite edits and batch-path row appends change per-LF counts,
         // so the running moment statistics are rebuilt from Λ (edits
@@ -1509,13 +1491,13 @@ impl IncrementalSession {
             predicted_advantage: predicted,
             label_density,
             lambda_update,
-            columns_reused,
-            columns_recomputed,
-            columns_extended,
-            lf_invocations,
+            columns_reused: work.reused,
+            columns_recomputed: work.recomputed,
+            columns_extended: work.extended,
+            lf_invocations: work.lf_invocations,
             structure_reused,
-            warm_started,
-            fit_epochs,
+            warm_started: fit.warm_started,
+            fit_epochs: fit.epochs,
             unique_patterns,
             cache: stats_after,
             timings: RefreshTimings {
@@ -1576,51 +1558,16 @@ impl IncrementalSession {
         self.enable_streaming();
         self.ingest_candidates(ids);
         let m = self.candidates.len();
-        let old_m = self.last_rows;
+        let old_m = self.lambda.as_ref().map_or(0, LabelMatrix::num_points);
         let new_rows = m - old_m;
-        let n = self.lfs.len();
 
         // 1. Extend every live column onto the new rows.
-        let mut lf_invocations = 0usize;
-        for j in 0..n {
-            let fp = self.lfs[j].fingerprint;
-            let covered = self.cache.rows(fp);
-            if covered >= m {
-                self.cache.note_hit();
-                continue;
-            }
-            let slice = &self.candidates[covered..];
-            let mini = self.config.executor.apply(
-                std::slice::from_ref(&self.lfs[j].lf),
-                &self.corpus,
-                slice,
-            );
-            let mut entries = mini.column(0);
-            for e in &mut entries {
-                e.0 += covered as u32;
-            }
-            lf_invocations += slice.len();
-            if covered == 0 {
-                self.cache.insert(fp, m, entries);
-            } else {
-                self.cache.extend(fp, m, entries);
-            }
-        }
-        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
-        self.cache.evict_to_capacity(&live);
+        let (work, live) = self.extend_live_columns();
 
         // 2. Splice the new rows into Λ and the live plan's tail shard.
         let lambda = self.lambda.as_mut().expect("checked above");
         if new_rows > 0 {
-            let mut rows: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); new_rows];
-            for (j, fp) in live.iter().enumerate() {
-                let entries = self.cache.entries(*fp).expect("live column cached");
-                let start = entries.partition_point(|e| (e.0 as usize) < old_m);
-                for &(row, v) in &entries[start..] {
-                    rows[row as usize - old_m].push((j as u32, v));
-                }
-            }
-            lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+            append_cached_rows(&mut self.cache, &live, lambda, m);
             grow_plan(
                 self.plan.as_mut().expect("a refreshed session has a plan"),
                 lambda,
@@ -1646,9 +1593,8 @@ impl IncrementalSession {
             None => false,
         };
 
-        // 5. Bookkeeping: the splice is committed; an online-refitted
-        //    model invalidates generation-keyed posterior memos.
-        self.last_rows = m;
+        // 5. Bookkeeping: an online-refitted model invalidates
+        //    generation-keyed posterior memos.
         if online_fit {
             self.refresh_generation += 1;
             self.last_marginals = None;
@@ -1674,7 +1620,7 @@ impl IncrementalSession {
         drop(span);
         IngestReport {
             rows: new_rows,
-            lf_invocations,
+            lf_invocations: work.lf_invocations,
             online_fit,
             drift_score,
             drifted,

@@ -9,11 +9,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use snorkel_context::{CandidateId, Corpus};
-use snorkel_core::optimizer::OptimizerConfig;
+use snorkel_core::optimizer::{ModelingStrategy, OptimizerConfig};
 use snorkel_core::pipeline::{Pipeline, PipelineConfig};
 use snorkel_datasets::{cdr, TaskConfig};
 use snorkel_incr::{IncrementalSession, LambdaUpdate, SessionConfig};
-use snorkel_lf::{lf, BoxedLf};
+use snorkel_lf::{lf, BoxedLf, LfExecutor};
 use snorkel_nlp::tokenize;
 
 fn build_corpus(n: usize) -> (Corpus, Vec<CandidateId>) {
@@ -830,4 +830,116 @@ fn distill_after_ingest_without_refresh_trains_on_labeled_rows_only() {
     session.refresh();
     let report = session.distill().expect("post-refresh distill");
     assert_eq!(report.rows_total, 140);
+}
+
+/// A deterministic LF whose votes depend only on (salt, sentence text):
+/// it abstains on about a quarter of the candidates and otherwise votes
+/// the text's "causes" signal (right two times in three) when
+/// `cardinality` is 2, or a hashed class in `1..=cardinality`.
+fn salted_lf(name: &str, salt: u64, cardinality: u8) -> BoxedLf {
+    lf(name.to_string(), move |x| {
+        let text = x.sentence().text();
+        let mut h = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for byte in text.bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h ^= h >> 29;
+        match h % 4 {
+            0 => 0,
+            r if cardinality == 2 => {
+                if text.contains("causes") == (r != 1) {
+                    1
+                } else {
+                    -1
+                }
+            }
+            _ => (h / 4 % cardinality as u64) as i8 + 1,
+        }
+    })
+}
+
+#[test]
+fn structure_reuse_never_outlives_the_previous_selection() {
+    // gamma 0 always models accuracies, and without the sweep the
+    // backend is decided by scale alone: generative below 300 rows,
+    // moment at or above.
+    let optimizer = OptimizerConfig {
+        gamma: 0.0,
+        skip_structure_search: true,
+        moment_min_rows: 300,
+        ..OptimizerConfig::default()
+    };
+    let (corpus, ids) = build_corpus(600);
+    let config = SessionConfig {
+        optimizer: optimizer.clone(),
+        ..SessionConfig::default()
+    };
+    let mut session = IncrementalSession::new(corpus, config);
+    session.ingest_candidates(&ids[..200]);
+    for j in 0..5 {
+        session.add_lf_tagged(salted_lf(&format!("lf_{j}"), j, 2), j);
+    }
+    let (_, report) = session.refresh();
+    assert_eq!(report.backend, "generative");
+
+    session.ingest_candidates(&ids[200..]);
+    let (_, report) = session.refresh();
+    assert_eq!(report.backend, "moment");
+
+    // A one-column edit may reuse only the previous refresh's
+    // selection. That was moment, which has no structure to reuse, so
+    // the edit selects afresh and agrees with a cold pipeline on the
+    // same Λ.
+    session.edit_lf_tagged(salted_lf("lf_2", 99, 2), 99);
+    let (_, report) = session.refresh();
+    let cold_cfg = PipelineConfig {
+        optimizer,
+        ..PipelineConfig::default()
+    };
+    let (_, cold) = Pipeline::new(cold_cfg).run_from_matrix(session.label_matrix().unwrap());
+    assert_eq!(cold.backend, "moment");
+    assert!(!report.structure_reused);
+    assert_eq!(report.strategy, cold.strategy);
+    assert_eq!(report.backend, cold.backend);
+}
+
+#[test]
+fn first_refresh_reports_the_cold_pipelines_selection() {
+    let cases = [
+        ("forced", 2u8, Some(ModelingStrategy::MajorityVote)),
+        ("multi-class", 3, None),
+        ("optimizer-chosen", 2, None),
+    ];
+    for (case, cardinality, force_strategy) in cases {
+        let (corpus, _) = build_corpus(300);
+        let executor = LfExecutor {
+            cardinality,
+            ..LfExecutor::default()
+        };
+        let config = SessionConfig {
+            executor,
+            force_strategy: force_strategy.clone(),
+            ..SessionConfig::default()
+        };
+        let mut session = IncrementalSession::over_all_candidates(corpus, config);
+        for j in 0..4 {
+            session.add_lf(salted_lf(&format!("lf_{j}"), j, cardinality));
+        }
+        let (_, report) = session.refresh();
+        let cold_cfg = PipelineConfig {
+            executor,
+            force_strategy,
+            ..PipelineConfig::default()
+        };
+        let (_, cold) = Pipeline::new(cold_cfg).run_from_matrix(session.label_matrix().unwrap());
+        assert_eq!(report.strategy, cold.strategy, "{case}");
+        assert_eq!(report.backend, cold.backend, "{case}");
+        // NaN means no bound was computed (forced or multi-class).
+        let (a, b) = (report.predicted_advantage, cold.predicted_advantage);
+        assert!(
+            (a.is_nan() && b.is_nan()) || a == b,
+            "{case}: session A~* {a} != pipeline A~* {b}"
+        );
+        assert_eq!(b.is_nan(), case != "optimizer-chosen", "{case}: {b}");
+    }
 }

@@ -63,7 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snorkel_context::Corpus;
-use snorkel_incr::IncrementalSession;
+use snorkel_incr::{DiscTrainingSet, IncrementalSession};
 use snorkel_lf::Vote;
 use snorkel_obs::{trace_level, Counter, Gauge, Histogram, TraceLevel, TraceRing};
 use snorkel_stream::IngestGate;
@@ -1525,12 +1525,9 @@ fn apply_replicated(inner: &Inner, repl: &Repl, body: &[u8]) -> Result<bool, Str
     commit_record(repl, st, rec.lsn, body.to_vec());
     repl.obs.ops_replayed.inc();
     drop(state);
-    // Disc retrain outside the lock, then a short write lock to
-    // install — the same phasing as the leader's REFRESH.
+    // The same retrain phasing as the leader's REFRESH.
     if let Some(set) = training {
-        let (disc_state, _) = set.train();
-        let mut state = write_state(inner);
-        state.session.install_disc(disc_state);
+        retrain_and_install(inner, set);
     }
     Ok(true)
 }
@@ -1956,15 +1953,20 @@ fn handle_refresh(inner: &Inner, edit: Option<SuiteEdit>) -> String {
         );
         (response, training_set)
     };
-    // Phase 2 (no lock): distill. Concurrent MARGINAL/PREDICT reads are
-    // served meanwhile — from the previous disc model, whose `disc_gen=`
-    // makes the staleness visible. Phase 3 (short write lock): install.
+    // Phases 2 and 3: distill lock-free, then install.
     if let Some(set) = training_set {
-        let (disc_state, _) = set.train();
-        let mut state = write_state(inner);
-        state.session.install_disc(disc_state);
+        retrain_and_install(inner, set);
     }
     response
+}
+
+/// Distill outside the session lock — concurrent MARGINAL/PREDICT reads
+/// are served meanwhile from the previous disc model, whose `disc_gen=`
+/// makes the staleness visible — then install it under a short write
+/// lock.
+fn retrain_and_install(inner: &Inner, set: DiscTrainingSet) {
+    let (disc_state, _) = set.train();
+    write_state(inner).session.install_disc(disc_state);
 }
 
 /// Minimal blocking client for tests, examples, and the CI smoke
